@@ -4,7 +4,6 @@ from .claims import pullback_hyperface, run_claims_suite
 from .scripts import (
     Fork,
     ReplayScript,
-    StepSpec,
     alt_trivial,
     horiz_equiv,
     oury_from_alt,
@@ -22,7 +21,6 @@ __all__ = [
     "Fork",
     "GluingStep",
     "ReplayScript",
-    "StepSpec",
     "enumerate_admissible_sets",
     "alt_trivial",
     "compare_generating_sets",

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..boxprod import upsilon_subobject
-from ..cellset import Cell, Subobject, representable
+from ..boxprod import face_closure, upsilon_subobject
+from ..cellset import Cell
 from ..delta import shuffle_corners, shuffle_covers, shuffle_leq, shuffles
 from ..theta import (
     HyperfaceLabel,
@@ -18,12 +18,6 @@ from ..theta import (
     hyperface_operator,
     hyperfaces,
 )
-
-
-def face_closure(shape, ops):
-    return Subobject.generated(
-        representable(shape), [Cell(op.src, op) for op in ops]
-    )
 
 
 @lru_cache(maxsize=None)

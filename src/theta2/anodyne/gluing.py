@@ -4,24 +4,30 @@ A gluing step attaches either a single representable cell or a whole
 cellular-set map onto a running subobject.  The square is certified by
 three checks: the brute-force pullback of the running subobject equals
 the expected attachment locus, the attachment map is injective outside
-that locus, and the union afterwards is exactly the old part plus the
-image.
+that locus, and the nondegenerate cells the attachment adds are exactly
+the images of the source cells outside that locus.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..cellset import Cell, Subobject, representable
+from ..cellset import Cell, Subobject
 from ..theta import faces_between, shapes_upto
 
 
 @dataclass
 class GluingStep:
-    ambient: object
-    before: Subobject
+    """Attach ``cell``, or ``source`` through ``map_fn``, onto ``before``.
+
+    Replay scripts leave ``ambient`` and ``before`` unset; the runner fills
+    them in with the script's ambient and the running subobject.
+    """
+
     expected_w: Subobject
+    ambient: object = None
+    before: Optional[Subobject] = None
     cell: Optional[Cell] = None
     source: object = None
     map_fn: Optional[Callable] = None
@@ -30,6 +36,11 @@ class GluingStep:
     # restrict the pullback comparison to shapes of dimension <= this;
     # margin levels above a truncation bound are not certified material
     compare_dim: Optional[int] = None
+    # attachments at the truncation bound are executed but not certified:
+    # their attachment loci may miss cells whose parents exceed the bound
+    tail: bool = False
+    # margin attachments above the bound are pure coverage, never checked
+    verify: bool = True
 
     def __post_init__(self):
         if (self.cell is None) == (self.source is None):
@@ -40,23 +51,13 @@ def _source_pullback(step):
     """The attachment locus computed by brute force."""
     if step.cell is not None:
         return step.before.pullback_along(step.cell)
-    nd = {}
-    for shape in step.source.shapes():
-        hits = {
-            c
-            for c in step.source.nd_cells(shape)
-            if step.before.contains(step.map_fn(Cell(shape, c)))
-        }
-        if hits:
-            nd[shape] = hits
-    return Subobject(step.source, nd)
+    return Subobject.where(step.source, lambda c: step.before.contains(step.map_fn(c)))
 
 
 def _outside_images(step):
     """Images of the nondegenerate source cells outside the expected locus."""
     out = []
     if step.cell is not None:
-        amb = representable(step.cell.shape)
         for src in shapes_upto(step.cell.shape.dim):
             for f in faces_between(src, step.cell.shape):
                 if not step.expected_w.contains(Cell(src, f)):
@@ -132,11 +133,13 @@ def verify_gluing_square(step):
         seen[key] = src_cell.payload
     report["checks"]["injective"] = injective
 
-    image = image_subobject(step)
-    after = step.before.union(image)
-    merged = {s: set(step.before.nd_at(s)) | set(image.nd_at(s)) for s in after.nd}
-    cover = all(set(after.nd_at(s)) == merged[s] for s in after.nd)
-    report["checks"]["cover"] = cover
+    after = step.before.union(image_subobject(step))
+    added = {Cell(s, c) for s, v in after.nd.items() for c in v - step.before.nd_at(s)}
+    images = {img for _, img in outside}
+    if step.compare_dim is not None:
+        added = {c for c in added if c.shape.dim <= step.compare_dim}
+        images = {c for c in images if c.shape.dim <= step.compare_dim}
+    report["checks"]["cover"] = added == images
     report["new_nd"] = after.nd_count() - step.before.nd_count()
 
     report["ok"] = all(report["checks"].values())

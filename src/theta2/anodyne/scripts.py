@@ -8,13 +8,15 @@ final union against the target up to the certified dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from ..boxprod import (
     BoxCellSet,
     boundary,
     equiv_horiz,
+    equiv_vert,
+    face_closure,
     horn_h,
     horn_v,
     horn_h_alt,
@@ -23,8 +25,6 @@ from ..boxprod import (
     spine_subobject,
     theta_corner,
     upsilon_subobject,
-    vertical_extension_ambient,
-    psi_contains,
     theta_corner_contains,
 )
 from ..cellset import Cell, Subobject, representable
@@ -40,6 +40,7 @@ from ..theta import (
     horizontal_face_n,
     hyperface_operator,
     identity_cellular,
+    inner_hyperface_labels,
     is_mono_vertebral,
     op_dual_shape,
     outer_hyperface_order,
@@ -47,26 +48,15 @@ from ..theta import (
     vertical_hyperface,
 )
 from .admissible import is_admissible, shuffle_slice
-from .gluing import GluingStep, verify_gluing_square
+from .gluing import GluingStep, image_subobject, verify_gluing_square
 
 
 @dataclass
-class StepSpec:
-    kind: str  # "attach" | "attach_map" | "check"
+class StageCheck:
+    """A check on the running subobject; ``check_fn`` returns (ok, detail)."""
+
     label: str
-    cell: Optional[Cell] = None
-    expected_w: Optional[Subobject] = None
-    horn: Optional[dict] = None
-    source: object = None
-    map_fn: Optional[Callable] = None
-    check_fn: Optional[Callable] = None
-    # attachments at the truncation bound are executed but not certified:
-    # their attachment loci may miss cells whose parents exceed the bound
-    tail: bool = False
-    # margin attachments above the bound are pure coverage, never checked
-    verify: bool = True
-    # optional dimension cap for the pullback comparison of map steps
-    compare_dim: object = None
+    check_fn: Callable
 
 
 @dataclass
@@ -93,10 +83,9 @@ class ReplayScript:
 
 def _run_steps(ambient, y, steps, out_steps):
     """Run the step list, aborting at the first failed certified check."""
-    ok = True
-    for idx, spec in enumerate(steps):
-        if spec.kind == "check":
-            good, detail = spec.check_fn(y)
+    for idx, step in enumerate(steps):
+        if isinstance(step, StageCheck):
+            good, detail = step.check_fn(y)
             out_steps.append(
                 {
                     "index": idx,
@@ -104,7 +93,7 @@ def _run_steps(ambient, y, steps, out_steps):
                     "shape": None,
                     "horn": None,
                     "checks": {"stage": bool(good)},
-                    "label": spec.label,
+                    "label": step.label,
                     "detail": detail,
                 }
             )
@@ -112,44 +101,22 @@ def _run_steps(ambient, y, steps, out_steps):
                 out_steps[-1]["aborted"] = True
                 return False, y
             continue
-        if not spec.verify:
-            from .gluing import image_subobject
-
-            step = GluingStep(
-                ambient=ambient,
-                before=y,
-                expected_w=spec.expected_w,
-                cell=spec.cell,
-                source=spec.source,
-                map_fn=spec.map_fn,
-                horn=spec.horn,
-                label=spec.label,
-            )
+        step = replace(step, ambient=ambient, before=y)
+        if not step.verify:
             y = y.union(image_subobject(step))
             out_steps.append(
-                {"index": idx, "label": spec.label, "margin_only": True}
+                {"index": idx, "label": step.label, "margin_only": True}
             )
             continue
-        step = GluingStep(
-            ambient=ambient,
-            before=y,
-            expected_w=spec.expected_w,
-            cell=spec.cell,
-            source=spec.source,
-            map_fn=spec.map_fn,
-            horn=spec.horn,
-            label=spec.label,
-            compare_dim=spec.compare_dim,
-        )
         report, y = verify_gluing_square(step)
         report["index"] = idx
-        if spec.tail:
+        if step.tail:
             report["uncertified_tail"] = True
         out_steps.append(report)
-        if not spec.tail and not report["ok"]:
+        if not step.tail and not report["ok"]:
             report["aborted"] = True
             return False, y
-    return ok, y
+    return True, y
 
 
 def replay(script):
@@ -201,25 +168,6 @@ def replay(script):
 # -- helpers ------------------------------------------------------------------
 
 
-def _hyperface_cell(shape, label):
-    op = hyperface_operator(shape, label)
-    return Cell(op.src, op)
-
-
-def _face_cell(op):
-    return Cell(op.src, op)
-
-
-def _closure_with(shape, base, extra_ops):
-    sub = base
-    if extra_ops:
-        extra = Subobject.generated(
-            representable(shape), [Cell(op.src, op) for op in extra_ops]
-        )
-        sub = sub.union(extra)
-    return sub
-
-
 def _vlabel(k, i):
     return HyperfaceLabel(HyperfaceLabel.V, k=k, i=i)
 
@@ -265,19 +213,17 @@ def spine_anodyne(shape):
         q = shape.q(1)
         top = vertical_hyperface(shape, 1, q)
         steps.append(
-            StepSpec(
-                kind="attach",
+            GluingStep(
                 label="glue dv^{1;q} along lower spine",
-                cell=_face_cell(top),
+                cell=Cell(top.src, top),
                 expected_w=spine_subobject(top.src),
             )
         )
         bottom = vertical_hyperface(shape, 1, 0)
         steps.append(
-            StepSpec(
-                kind="attach",
+            GluingStep(
                 label="glue dv^{1;0} along dagger stage",
-                cell=_face_cell(bottom),
+                cell=Cell(bottom.src, bottom),
                 expected_w=sigma_subobject(bottom.src, frozenset([_vlabel(1, q - 1)])),
             )
         )
@@ -287,10 +233,9 @@ def spine_anodyne(shape):
                 if {0, 1, q} <= set(alpha.values):
                     cell_op = vertical_face(shape, alpha)
                     steps.append(
-                        StepSpec(
-                            kind="attach",
+                        GluingStep(
                             label=f"glue [id;{alpha.short()}] along horn-v^(1;1)",
-                            cell=_face_cell(cell_op),
+                            cell=Cell(cell_op.src, cell_op),
                             expected_w=horn_v(src, 1, 1).domain,
                             horn=_horn_meta("horn-v", src, k=1, i=1),
                         )
@@ -298,25 +243,21 @@ def spine_anodyne(shape):
     else:
         dh_n = horizontal_face_n(shape)
         steps.append(
-            StepSpec(
-                kind="attach",
+            GluingStep(
                 label="glue dh^n face along lower spine",
-                cell=_face_cell(dh_n),
+                cell=Cell(dh_n.src, dh_n),
                 expected_w=spine_subobject(dh_n.src),
             )
         )
         dh_0 = horizontal_face_0(shape)
         prime_src = dh_0.src
-        prime = _closure_with(
-            prime_src,
-            spine_subobject(prime_src),
-            [horizontal_face_n(prime_src)] if prime_src.n >= 1 else [],
+        prime = spine_subobject(prime_src).union(
+            face_closure(prime_src, [horizontal_face_n(prime_src)])
         )
         steps.append(
-            StepSpec(
-                kind="attach",
+            GluingStep(
                 label="glue dh^0 face along primed stage",
-                cell=_face_cell(dh_0),
+                cell=Cell(dh_0.src, dh_0),
                 expected_w=prime,
             )
         )
@@ -329,10 +270,9 @@ def spine_anodyne(shape):
         pending.sort(key=lambda f: (f.src.dim, f))
         for f in pending:
             steps.append(
-                StepSpec(
-                    kind="attach",
+                GluingStep(
                     label=f"glue {f} along horn-h^1",
-                    cell=_face_cell(f),
+                    cell=Cell(f.src, f),
                     expected_w=horn_h(f.src, 1).domain,
                     horn=_horn_meta("horn-h", f.src, k=1),
                 )
@@ -359,7 +299,7 @@ def vertical_face(shape, alpha):
 # -- outer-hyperface stage -----------------------------------------------------
 
 
-def _sigma_case_t(shape, label, before_labels):
+def _sigma_case_t(shape, label):
     """The predicted locus for attaching one outer hyperface to a sigma stage.
 
     Returns (source shape, T labels) following the outer case analysis.
@@ -422,18 +362,18 @@ def sigma_s(shape, labels):
     steps = []
     notes = []
     for idx, label in enumerate(labels):
-        src, t = _sigma_case_t(shape, label, labels[:idx])
+        src, t = _sigma_case_t(shape, label)
         order = outer_hyperface_order(src)
         positions = [order.index(l) for l in t]
         if sorted(positions) != list(range(len(t))):
             notes.append(f"T at {label} is not downward closed")
         if len(t) > idx:
             notes.append(f"|T| > |S'| at {label}")
+        op = hyperface_operator(shape, label)
         steps.append(
-            StepSpec(
-                kind="attach",
+            GluingStep(
                 label=f"glue outer {label}",
-                cell=_hyperface_cell(shape, label),
+                cell=Cell(op.src, op),
                 expected_w=sigma_subobject(src, t),
             )
         )
@@ -484,10 +424,9 @@ def upsilon_vertical(shape, labels):
         if len(t) != len(attached):
             notes.append(f"|T| != |S'| at {label}")
         steps.append(
-            StepSpec(
-                kind="attach",
+            GluingStep(
                 label=f"glue inner vertical {label}",
-                cell=_face_cell(op),
+                cell=Cell(op.src, op),
                 expected_w=upsilon_subobject(op.src, t),
             )
         )
@@ -597,10 +536,9 @@ def upsilon_full(shape, labels):
         op = hyperface_operator(shape, label)
         t = _vertical_pullback_labels(attached, label.k, label.i)
         steps.append(
-            StepSpec(
-                kind="attach",
+            GluingStep(
                 label=f"glue inner vertical {label}",
-                cell=_face_cell(op),
+                cell=Cell(op.src, op),
                 expected_w=upsilon_subobject(op.src, t),
             )
         )
@@ -611,11 +549,11 @@ def upsilon_full(shape, labels):
         t_ok, _ = is_admissible(src, t)
         if not t_ok:
             notes.append(f"T at {label} is not admissible")
+        op = hyperface_operator(shape, label)
         steps.append(
-            StepSpec(
-                kind="attach",
+            GluingStep(
                 label=f"glue inner horizontal {label}",
-                cell=_hyperface_cell(shape, label),
+                cell=Cell(op.src, op),
                 expected_w=upsilon_subobject(src, t),
             )
         )
@@ -659,18 +597,16 @@ def oury_from_alt(shape, labels):
             t = {_vlabel(k, j) for j in remaining if j < i}
             t |= {_vlabel(k, j - 1) for j in remaining if j > i}
             steps.append(
-                StepSpec(
-                    kind="attach",
+                GluingStep(
                     label=f"glue dv^({k};{i})",
-                    cell=_face_cell(op),
+                    cell=Cell(op.src, op),
                     expected_w=lambda_subobject(op.src, frozenset(t)),
                 )
             )
             remaining = remaining[:-1]
         i0 = remaining[0]
         steps.append(
-            StepSpec(
-                kind="attach",
+            GluingStep(
                 label=f"fill elementary horn-v^({k};{i0})",
                 cell=Cell(shape, identity_cellular(shape)),
                 expected_w=horn_v(shape, k, i0).domain,
@@ -698,18 +634,16 @@ def oury_from_alt(shape, labels):
             _, upper = shuffle_corners(shf)
             t = {_vlabel(k, j) for j in upper}
             steps.append(
-                StepSpec(
-                    kind="attach",
+                GluingStep(
                     label=f"glue dh^({k};{shf})",
-                    cell=_face_cell(op),
+                    cell=Cell(op.src, op),
                     expected_w=lambda_subobject(op.src, frozenset(t)),
                 )
             )
             remaining = remaining[1:]
         last = remaining[0]
         steps.append(
-            StepSpec(
-                kind="attach",
+            GluingStep(
                 label=f"fill elementary alt horn at {last}",
                 cell=Cell(shape, identity_cellular(shape)),
                 expected_w=horn_h_alt(shape, k, last).domain,
@@ -777,14 +711,14 @@ def alt_trivial(shape, k, base_shf, i_set):
     amb = representable(shape)
     all_labels = frozenset(_hlabel(k, s) for s in up)
     stilde = frozenset(
-        l for l in __inner_labels(shape) if l not in all_labels
+        l for l in inner_hyperface_labels(shape) if l not in all_labels
     )
 
     def base_check(y):
         want = upsilon_subobject(shape, stilde)
         return y.same_cells(want), "lambda over the up-set equals the upsilon form"
 
-    steps = [StepSpec(kind="check", label="base identity", check_fn=base_check)]
+    steps = [StageCheck("base identity", base_check)]
     notes = []
     to_attach = sorted(
         (s for s in up if s not in i_set), key=lambda s: s.alpha.values, reverse=True
@@ -796,10 +730,9 @@ def alt_trivial(shape, k, base_shf, i_set):
             notes.append(f"T at {shf} is not admissible")
         op = hyperface_operator(shape, _hlabel(k, shf))
         steps.append(
-            StepSpec(
-                kind="attach",
+            GluingStep(
                 label=f"glue dh^({k};{shf})",
-                cell=_face_cell(op),
+                cell=Cell(op.src, op),
                 expected_w=upsilon_subobject(src, t),
             )
         )
@@ -818,12 +751,6 @@ def alt_trivial(shape, k, base_shf, i_set):
         certified_dim=shape.dim,
         notes=notes,
     )
-
-
-def __inner_labels(shape):
-    from ..theta import inner_hyperface_labels
-
-    return inner_hyperface_labels(shape)
 
 
 # -- vertical equivalence extensions -------------------------------------------
@@ -857,13 +784,7 @@ def vert_equiv(shape, k, bound):
         raise ThetaError(f"vertical extension needs q_{k} = 0 in {shape}")
     params = {"shape": str(shape), "k": k, "bound": bound}
     if n == 1:
-        phi = vertical_extension_ambient(shape, 1, bound)
-        psi_nd = {}
-        for sh in phi.shapes():
-            hits = {c for c in phi.nd_cells(sh) if psi_contains(c, shape, 1)}
-            if hits:
-                psi_nd[sh] = hits
-        psi = Subobject(phi, psi_nd)
+        psi, phi, _ = equiv_vert(shape, 1, bound)
         corner = theta_corner(phi, shape, 1)
 
         def corner_check(y):
@@ -874,7 +795,7 @@ def vert_equiv(shape, k, bound):
             params=params,
             ambient=phi,
             initial=corner,
-            steps=[StepSpec(kind="check", label="interval base case", check_fn=corner_check)],
+            steps=[StageCheck("interval base case", corner_check)],
             target=None,
             certified_dim=bound - 1,
             forks=[Fork(name="psi", steps=[], target=psi, certified_dim=bound - 1)],
@@ -889,13 +810,7 @@ def vert_equiv(shape, k, bound):
     # cells up to bound-1 certify; the two extra levels exist only so that
     # their closures cover the certified region (deep parents)
     work = bound + 2
-    phi = vertical_extension_ambient(shape, k, work)
-    psi_nd = {}
-    for sh in phi.shapes():
-        hits = {c for c in phi.nd_cells(sh) if psi_contains(c, shape, k)}
-        if hits:
-            psi_nd[sh] = hits
-    psi = Subobject(phi, psi_nd)
+    psi, phi, _ = equiv_vert(shape, k, work)
     corner = theta_corner(phi, shape, k)
 
     edge = BoxCellSet(1, standard_simplex(1), [J], work)
@@ -905,16 +820,12 @@ def vert_equiv(shape, k, bound):
         nx = tuple(v + k - 1 for v in x)
         return Cell(cell.shape, (nx, comps))
 
-    edge_corner_nd = {}
-    for sh in edge.shapes():
-        hits = {c for c in edge.nd_cells(sh) if all(FILLED not in y for y in c[1])}
-        if hits:
-            edge_corner_nd[sh] = hits
-    edge_corner = Subobject(edge, edge_corner_nd)
+    edge_corner = Subobject.where(
+        edge, lambda c: all(FILLED not in y for y in c.payload[1])
+    )
 
     steps = [
-        StepSpec(
-            kind="attach_map",
+        GluingStep(
             label="glue the interval edge at hom k",
             source=edge,
             map_fn=edge_map,
@@ -922,14 +833,14 @@ def vert_equiv(shape, k, bound):
         )
     ]
 
+    def stage0_pred(payload):
+        return theta_corner_contains(payload, k) or set(payload[0]) <= {k - 1, k}
+
     def x0_check(y):
-        want = _predicate_subobject(
-            phi,
-            lambda c: theta_corner_contains(c, k) or set(c[0]) <= {k - 1, k},
-        )
+        want = Subobject.where(phi, lambda c: stage0_pred(c.payload))
         return y.same_cells(want), "stage 0 equals corner plus edge image"
 
-    steps.append(StepSpec(kind="check", label="stage 0 content", check_fn=x0_check))
+    steps.append(StageCheck("stage 0 content", x0_check))
 
     def stage1_pred(payload):
         x = payload[0]
@@ -943,8 +854,7 @@ def vert_equiv(shape, k, bound):
     for cell in stage1:
         m = cell.shape.n
         steps.append(
-            StepSpec(
-                kind="attach",
+            GluingStep(
                 label=f"stage 1 glue {cell.payload}",
                 cell=cell,
                 expected_w=horn_h(cell.shape, m - 1).domain,
@@ -953,9 +863,7 @@ def vert_equiv(shape, k, bound):
                 verify=cell.shape.dim <= bound,
             )
         )
-    steps.append(
-        _stage_check(phi, "stage 1 content", lambda c: stage1_pred(c), bound, base_pred=lambda c: theta_corner_contains(c, k) or set(c[0]) <= {k - 1, k})
-    )
+    steps.append(_stage_check(phi, "stage 1 content", [stage0_pred, stage1_pred], bound))
 
     def stage2_pred(payload):
         x = payload[0]
@@ -974,8 +882,7 @@ def vert_equiv(shape, k, bound):
         x = cell.payload[0]
         ell = next(i for i in range(1, len(x) - 1) if x[i] == k)
         steps.append(
-            StepSpec(
-                kind="attach",
+            GluingStep(
                 label=f"stage 2 glue {cell.payload}",
                 cell=cell,
                 expected_w=horn_h(cell.shape, ell).domain,
@@ -984,11 +891,8 @@ def vert_equiv(shape, k, bound):
                 verify=cell.shape.dim <= bound,
             )
         )
-    prev_preds = [
-        lambda c: theta_corner_contains(c, k) or set(c[0]) <= {k - 1, k},
-        stage1_pred,
-    ]
-    steps.append(_stage_check(phi, "stage 2 content", stage2_pred, bound, base_preds=prev_preds))
+    preds = [stage0_pred, stage1_pred, stage2_pred]
+    steps.append(_stage_check(phi, "stage 2 content", preds, bound))
 
     def stage3_pred(payload):
         x = payload[0]
@@ -1009,8 +913,7 @@ def vert_equiv(shape, k, bound):
     stage3 = _collect(phi, stage3_attach)
     for cell in stage3:
         steps.append(
-            StepSpec(
-                kind="attach",
+            GluingStep(
                 label=f"stage 3 glue {cell.payload}",
                 cell=cell,
                 expected_w=horn_h(cell.shape, k).domain,
@@ -1019,8 +922,8 @@ def vert_equiv(shape, k, bound):
                 verify=cell.shape.dim <= bound,
             )
         )
-    prev_preds = prev_preds + [stage2_pred]
-    steps.append(_stage_check(phi, "stage 3 content", stage3_pred, bound, base_preds=prev_preds))
+    preds = preds + [stage3_pred]
+    steps.append(_stage_check(phi, "stage 3 content", preds, bound))
 
     psi_fork_steps = []
     if shape.q(k + 1) >= 1:
@@ -1070,8 +973,7 @@ def vert_equiv(shape, k, bound):
         for cell in stage4:
             _, j_a = stage4_data(cell.payload)
             psi_fork_steps.append(
-                StepSpec(
-                    kind="attach",
+                GluingStep(
                     label=f"stage 4 glue {cell.payload}",
                     cell=cell,
                     expected_w=horn_v(cell.shape, k, j_a).domain,
@@ -1082,13 +984,7 @@ def vert_equiv(shape, k, bound):
             )
     else:
         sub_shape = ThetaShape(shape.qs[:k] + shape.qs[k + 1 :])
-        sub_phi = vertical_extension_ambient(sub_shape, k, work)
-        sub_psi_nd = {}
-        for sh in sub_phi.shapes():
-            hits = {c for c in sub_phi.nd_cells(sh) if psi_contains(c, sub_shape, k)}
-            if hits:
-                sub_psi_nd[sh] = hits
-        sub_psi = Subobject(sub_phi, sub_psi_nd)
+        sub_psi, sub_phi, _ = equiv_vert(sub_shape, k, work)
 
         def face_map(cell):
             x, comps = cell.payload
@@ -1107,8 +1003,7 @@ def vert_equiv(shape, k, bound):
             return Cell(cell.shape, (nx, tuple(ncomps)))
 
         psi_fork_steps.append(
-            StepSpec(
-                kind="attach_map",
+            GluingStep(
                 label="glue the lower extension along its own domain",
                 source=sub_phi,
                 map_fn=face_map,
@@ -1135,44 +1030,26 @@ def vert_equiv(shape, k, bound):
 
 
 def _collect(ambient, pred, key=None):
-    cells = []
-    for sh in ambient.shapes():
-        for c in ambient.nd_cells(sh):
-            if pred(c):
-                cells.append(Cell(sh, c))
-    cells.sort(key=key or (lambda cell: (cell.shape.dim, cell.shape, cell.payload)))
-    return cells
+    """The nondegenerate cells whose payloads satisfy ``pred``, sorted by ``key``."""
+    return sorted(
+        Subobject.where(ambient, lambda c: pred(c.payload)).iter_nd(),
+        key=key or (lambda cell: (cell.shape.dim, cell.shape, cell.payload)),
+    )
 
 
-def _predicate_subobject(ambient, pred):
-    nd = {}
-    for sh in ambient.shapes():
-        hits = {c for c in ambient.nd_cells(sh) if pred(c)}
-        if hits:
-            nd[sh] = hits
-    return Subobject(ambient, nd)
+def _stage_check(ambient, label, preds, bound):
+    """Soundness check for a stage: nothing outside the stages was attached.
 
-
-def _stage_check(ambient, label, pred, bound, base_pred=None, base_preds=None):
-    """Soundness check for a stage: nothing outside the stage was attached.
-
-    Full stage content is only reachable through parents of unbounded
-    dimension, so coverage is reported as the largest certified level
-    rather than asserted at the truncation bound.
+    ``preds`` holds one payload predicate per stage so far.  Full stage
+    content is only reachable through parents of unbounded dimension, so
+    coverage is reported as the largest certified level rather than
+    asserted at the truncation bound.
     """
-    preds = list(base_preds or ([] if base_pred is None else [base_pred]))
-    preds.append(pred)
 
     def check(y):
-        gens = []
-        for sh in ambient.shapes():
-            for c in ambient.nd_cells(sh):
-                if any(p(c) for p in preds):
-                    gens.append(Cell(sh, c))
-        want = Subobject.generated(ambient, gens)
-        sound = all(
-            set(y.nd_at(sh)) <= set(want.nd_at(sh)) for sh in ambient.shapes()
-        )
+        gens = Subobject.where(ambient, lambda c: any(p(c.payload) for p in preds))
+        want = Subobject.generated(ambient, gens.iter_nd())
+        sound = y.issubset(want)
         covered = -1
         for d in range(bound):
             if y.equals_up_to(want, d):
@@ -1181,7 +1058,7 @@ def _stage_check(ambient, label, pred, bound, base_pred=None, base_preds=None):
                 break
         return sound, f"stage coverage certified through dim {covered}"
 
-    return StepSpec(kind="check", label=label, check_fn=check)
+    return StageCheck(label, check)
 
 
 # -- horizontal equivalence extensions ------------------------------------------
@@ -1235,8 +1112,7 @@ def horiz_equiv(shape, bound):
     for cell in stage1:
         kp = k_phi_one(cell.payload)
         steps.append(
-            StepSpec(
-                kind="attach",
+            GluingStep(
                 label=f"stage 1 glue {cell.payload}",
                 cell=cell,
                 expected_w=horn_h(cell.shape, kp).domain,
@@ -1244,7 +1120,7 @@ def horiz_equiv(shape, bound):
                 tail=cell.shape.dim >= bound,
             )
         )
-    steps.append(_stage_check(amb, "stage 1 content", stage1_pred, bound, base_pred=in_x))
+    steps.append(_stage_check(amb, "stage 1 content", [in_x, stage1_pred], bound))
 
     def k_phi_two(payload):
         _, f = payload
@@ -1261,8 +1137,7 @@ def horiz_equiv(shape, bound):
     for cell in stage2:
         kp = k_phi_two(cell.payload)
         steps.append(
-            StepSpec(
-                kind="attach",
+            GluingStep(
                 label=f"stage 2 glue {cell.payload}",
                 cell=cell,
                 expected_w=horn_h(cell.shape, kp).domain,

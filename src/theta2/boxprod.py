@@ -154,10 +154,10 @@ def leibniz_box(n, base_pair, fiber_pairs, bound):
     sub_base, big_base = base_pair
     codomain = BoxCellSet(n, big_base, [big for _, big in fiber_pairs], bound)
 
-    def in_domain(payload):
+    def in_domain(cell):
         # union of the non-terminal corners: the cell must restrict into at
         # least one small argument; an uncovered fiber slot restricts vacuously
-        x, comps = payload
+        x, comps = cell.payload
         if sub_base.contains(x):
             return True
         for j in range(1, n + 1):
@@ -171,12 +171,9 @@ def leibniz_box(n, base_pair, fiber_pairs, bound):
                 return True
         return False
 
-    nd = {}
-    for shape in codomain.shapes():
-        hits = {c for c in codomain.nd_cells(shape) if in_domain(c)}
-        if hits:
-            nd[shape] = hits
-    return Inclusion(Subobject(codomain, nd), name="leibniz-box", meta={"bound": bound})
+    return Inclusion(
+        Subobject.where(codomain, in_domain), name="leibniz-box", meta={"bound": bound}
+    )
 
 
 def boundary_leibniz(shape, bound=None):
@@ -221,25 +218,16 @@ def horn_v_leibniz(shape, k, i, bound=None):
 # -- named subobjects of representables --------------------------------------
 
 
-def _closure_of_labels(shape, labels):
-    amb = representable(shape)
-    cells = []
-    for lbl in labels:
-        op = hyperface_operator(shape, lbl)
-        cells.append(Cell(op.src, op))
-    return Subobject.generated(amb, cells)
-
-
-def _closure_of_faces(shape, ops):
-    amb = representable(shape)
-    return Subobject.generated(amb, [Cell(op.src, op) for op in ops])
+def face_closure(shape, ops):
+    """The subobject of the representable generated by faces into the shape."""
+    return Subobject.generated(representable(shape), [Cell(op.src, op) for op in ops])
 
 
 @lru_cache(maxsize=None)
 def boundary(shape):
     """All hyperfaces; equivalently everything of lower dimension."""
     return Inclusion(
-        _closure_of_faces(shape, [op for _, op in hyperfaces(shape)]),
+        face_closure(shape, [op for _, op in hyperfaces(shape)]),
         name=f"boundary{shape}",
     )
 
@@ -259,7 +247,7 @@ def horn_h(shape, k):
         )
     ]
     return Inclusion(
-        _closure_of_faces(shape, keep),
+        face_closure(shape, keep),
         name=f"horn-h^{k}{shape}",
         meta={"inner": 1 <= k <= shape.n - 1, "k": k},
     )
@@ -273,7 +261,7 @@ def horn_v(shape, k, i):
     skip = HyperfaceLabel(HyperfaceLabel.V, k=k, i=i)
     keep = [op for lbl, op in hyperfaces(shape) if lbl != skip]
     return Inclusion(
-        _closure_of_faces(shape, keep),
+        face_closure(shape, keep),
         name=f"horn-v^{{{k};{i}}}{shape}",
         meta={"inner": 1 <= i <= shape.q(k) - 1, "k": k, "i": i},
     )
@@ -287,7 +275,7 @@ def horn_h_alt(shape, k, shf):
         raise ThetaError(f"{skip} is not a hyperface of {shape}")
     keep = [op for lbl, op in hyperfaces(shape) if lbl != skip]
     return Inclusion(
-        _closure_of_faces(shape, keep),
+        face_closure(shape, keep),
         name=f"horn-h-alt^{{{k};{shf}}}{shape}",
         meta={"k": k, "shuffle": str(shf)},
     )
@@ -295,7 +283,7 @@ def horn_h_alt(shape, k, shf):
 
 @lru_cache(maxsize=None)
 def spine_subobject(shape):
-    return _closure_of_faces(shape, vertebrae(shape))
+    return face_closure(shape, vertebrae(shape))
 
 
 def spine(shape):
@@ -306,46 +294,24 @@ def sigma_subobject(shape, labels):
     """Spine together with a set of hyperfaces (given by labels)."""
     sub = spine_subobject(shape)
     if labels:
-        sub = sub.union(_closure_of_labels(shape, labels))
+        sub = sub.union(
+            face_closure(shape, [hyperface_operator(shape, lbl) for lbl in labels])
+        )
     return sub
-
-
-def spine_s(shape, labels):
-    return Inclusion(
-        sigma_subobject(shape, frozenset(labels)),
-        name=f"spine^S{shape}",
-        meta={"labels": sorted(str(l) for l in labels)},
-    )
 
 
 def upsilon_subobject(shape, labels):
     """All outer hyperfaces together with the labelled faces."""
     outer = [op for lbl, op in hyperfaces(shape) if not lbl.is_inner(shape)]
     extra = [hyperface_operator(shape, lbl) for lbl in labels]
-    return _closure_of_faces(shape, outer + extra)
-
-
-def upsilon_s(shape, labels):
-    return Inclusion(
-        upsilon_subobject(shape, frozenset(labels)),
-        name=f"upsilon^S{shape}",
-        meta={"labels": sorted(str(l) for l in labels)},
-    )
+    return face_closure(shape, outer + extra)
 
 
 def lambda_subobject(shape, labels):
     """All hyperfaces except those in the labelled set."""
     labels = set(labels)
     keep = [op for lbl, op in hyperfaces(shape) if lbl not in labels]
-    return _closure_of_faces(shape, keep)
-
-
-def lambda_s(shape, labels):
-    return Inclusion(
-        lambda_subobject(shape, frozenset(labels)),
-        name=f"lambda^S{shape}",
-        meta={"labels": sorted(str(l) for l in labels)},
-    )
+    return face_closure(shape, keep)
 
 
 # -- equivalence extensions ---------------------------------------------------
@@ -392,12 +358,7 @@ def theta_corner_contains(payload, k):
 def equiv_vert(shape, k, bound):
     """The vertical equivalence extension (Psi^k, Phi^k, inclusion)."""
     phi = vertical_extension_ambient(shape, k, bound)
-    nd = {}
-    for sh in phi.shapes():
-        hits = {c for c in phi.nd_cells(sh) if psi_contains(c, shape, k)}
-        if hits:
-            nd[sh] = hits
-    psi = Subobject(phi, nd)
+    psi = Subobject.where(phi, lambda c: psi_contains(c.payload, shape, k))
     return psi, phi, Inclusion(
         psi, name=f"equiv-v^{k}{shape}", meta={"bound": bound, "k": k}
     )
@@ -405,12 +366,7 @@ def equiv_vert(shape, k, bound):
 
 def theta_corner(phi, shape, k):
     """The representable sitting inside Phi^k at the diamond corner."""
-    nd = {}
-    for sh in phi.shapes():
-        hits = {c for c in phi.nd_cells(sh) if theta_corner_contains(c, k)}
-        if hits:
-            nd[sh] = hits
-    return Subobject(phi, nd)
+    return Subobject.where(phi, lambda c: theta_corner_contains(c.payload, k))
 
 
 def equiv_horiz(shape, bound):
@@ -423,17 +379,12 @@ def equiv_horiz(shape, bound):
     )
     bd = boundary(shape).domain
 
-    def in_domain(payload):
-        u, f = payload
+    def in_domain(cell):
+        u, f = cell.payload
         if all(v == DIAMOND for v in u):
             return True
         return bd.contains(Cell(f.src, f))
 
-    nd = {}
-    for sh in amb.shapes():
-        hits = {c for c in amb.nd_cells(sh) if in_domain(c)}
-        if hits:
-            nd[sh] = hits
     return Inclusion(
-        Subobject(amb, nd), name=f"equiv-h{shape}", meta={"bound": bound}
+        Subobject.where(amb, in_domain), name=f"equiv-h{shape}", meta={"bound": bound}
     )

@@ -214,6 +214,20 @@ class Subobject:
         return cls(ambient, {s: ambient.nd_cells(s) for s in ambient.shapes()})
 
     @classmethod
+    def where(cls, ambient, pred):
+        """The nondegenerate cells of the ambient on which ``pred`` holds.
+
+        This selects cells; it does not close them under faces.
+        """
+        return cls(
+            ambient,
+            {
+                s: [c for c in ambient.nd_cells(s) if pred(Cell(s, c))]
+                for s in ambient.shapes()
+            },
+        )
+
+    @classmethod
     def generated(cls, ambient, cells):
         """Smallest action-closed subset containing the given cells."""
         nd = {}
@@ -321,26 +335,6 @@ class Subobject:
 
     def __repr__(self):
         return f"Subobject({self.ambient!r}, {self.nd_count()} nd cells)"
-
-
-def subobject_closure(ambient, cells):
-    return Subobject.generated(ambient, cells)
-
-
-def member(sub, cell):
-    return sub.contains(cell)
-
-
-def union(a, b):
-    return a.union(b)
-
-
-def intersection(a, b):
-    return a.intersection(b)
-
-
-def pullback_along(sub, cell):
-    return sub.pullback_along(cell)
 
 
 # -- serialization ----------------------------------------------------------

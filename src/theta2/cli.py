@@ -153,13 +153,21 @@ def cmd_spine(args):
     return _domain_command(args, boxprod.spine(parse_shape(args.shape)))
 
 
+def _require(args, name):
+    """Reject a missing option that the chosen family or script needs."""
+    if getattr(args, name) is None:
+        raise ParseError(f"missing --{name}")
+
+
 def cmd_horn(args):
     shape = parse_shape(args.shape)
     if args.family == "h":
         inc = boxprod.horn_h(shape, args.k)
     elif args.family == "v":
+        _require(args, "i")
         inc = boxprod.horn_v(shape, args.k, args.i)
     else:
+        _require(args, "shuffle")
         inc = boxprod.horn_h_alt(shape, args.k, parse_shuffle(args.shuffle))
     return _domain_command(args, inc)
 
@@ -236,6 +244,7 @@ def cmd_lift(args):
 
 
 def _script_from_args(args):
+    _require(args, "shape")
     shape = parse_shape(args.shape)
     labels = frozenset(
         parse_hyperface_label(t, shape) for t in (args.set or ())
@@ -253,6 +262,7 @@ def _script_from_args(args):
     if args.script == "oury-from-alt":
         return oury_from_alt(shape, labels)
     if args.script == "alt-trivial":
+        _require(args, "shuffle")
         return alt_trivial(
             shape, args.k, parse_shuffle(args.shuffle), {parse_shuffle(args.shuffle)}
             if not args.set
@@ -369,14 +379,6 @@ def build_parser():
     sp.add_argument("--i", type=int)
     sp.add_argument("--shuffle")
     sp.set_defaults(fn=cmd_horn)
-
-    for name, family in (("horn-h", "h"), ("horn-v", "v"), ("horn-h-alt", "h-alt")):
-        sp = sub.add_parser(name, help=f"{name} domain generators")
-        sp.add_argument("shape")
-        sp.add_argument("--k", type=int, required=True)
-        sp.add_argument("--i", type=int)
-        sp.add_argument("--shuffle")
-        sp.set_defaults(fn=cmd_horn, family=family)
 
     for which in ("sigma-s", "upsilon-s", "lambda-s"):
         sp = sub.add_parser(which, help=f"{which} domain generators")

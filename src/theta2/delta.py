@@ -105,11 +105,6 @@ def sigma_op(i, n):
     return SimplicialOperator([min(v, i) if v <= i else v - 1 for v in range(n + 2)], n)
 
 
-def terminal_op(m):
-    """The unique map [m] -> [0]."""
-    return SimplicialOperator([0] * (m + 1), 0)
-
-
 def compose_simplicial(g, f):
     """The composite f ∘ g of g : [k] -> [m] followed by f : [m] -> [n]."""
     if g.dst != f.src:
@@ -153,11 +148,6 @@ def all_operators(m, n):
 @lru_cache(maxsize=None)
 def all_monos(m, n):
     return tuple(f for f in all_operators(m, n) if f.is_mono())
-
-
-@lru_cache(maxsize=None)
-def all_epis(m, n):
-    return tuple(f for f in all_operators(m, n) if f.is_epi())
 
 
 class Shuffle:

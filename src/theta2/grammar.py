@@ -73,10 +73,6 @@ def parse_simplicial(text, src=None, dst=None):
     return SimplicialOperator(vals, dst)
 
 
-def print_simplicial(f, explicit=True):
-    return str(f) if explicit else f.short()
-
-
 _CELLULAR_RE = re.compile(r"^\[(\{[\d,]*\})\s*;\s*(.*)\]$")
 
 
@@ -185,7 +181,3 @@ def parse_hyperface_label(text, shape):
     if m:
         return HyperfaceLabel(HyperfaceLabel.V, k=int(m.group(1)), i=int(m.group(2)))
     raise ParseError(f"bad hyperface label: {text!r}")
-
-
-def print_hyperface_label(lbl):
-    return str(lbl)

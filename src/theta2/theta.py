@@ -420,10 +420,6 @@ def inner_hyperface_labels(shape):
     return tuple(lbl for lbl, _ in hyperfaces(shape) if lbl.is_inner(shape))
 
 
-def outer_hyperface_labels(shape):
-    return tuple(lbl for lbl, _ in hyperfaces(shape) if not lbl.is_inner(shape))
-
-
 def outer_hyperface_order(shape):
     """Existing outer hyperfaces in the total order used by the gluing scripts.
 
@@ -445,13 +441,6 @@ def outer_hyperface_order(shape):
 
 
 # -- enumeration ----------------------------------------------------------
-
-
-def _jointly_monic(comps, p):
-    for i in range(p):
-        if not any(c.values[i] < c.values[i + 1] for c in comps):
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)

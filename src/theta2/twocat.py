@@ -101,17 +101,6 @@ class Finite2Category:
         return True
 
 
-def _poset_product_cat(qs):
-    """The product poset [q1] x ... x [qr] as hom-category tables."""
-    objs = list(itertools.product(*(range(q + 1) for q in qs)))
-    morphisms = {}
-    for x in objs:
-        for y in objs:
-            if all(a <= b for a, b in zip(x, y)):
-                morphisms[(x, y)] = (x, y)
-    return objs, morphisms
-
-
 def free_cell_2cat(shape):
     """The free 2-category on the shape: hom(k,l) is a product poset."""
     objects = tuple(range(shape.n + 1))

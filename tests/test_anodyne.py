@@ -162,6 +162,38 @@ def test_gluing_square_injectivity_fails_on_folded_map():
     assert not report["checks"]["injective"]
 
 
+def test_gluing_square_cover_fails_on_unnatural_map():
+    # the edge of [1;0] goes to {0,2} but its last vertex to 1: the locus and
+    # injectivity hold, yet the attachment adds vertex 2, the image of no cell
+    from theta2.theta import CellularOperator
+    from theta2.delta import SimplicialOperator
+
+    target = shape(0, 0)
+    amb = representable(target)
+    source = representable(shape(0,))
+    image_of = {(0,): (0,), (1,): (1,), (0, 1): (0, 2)}
+
+    def map_fn(cell):
+        values = image_of[cell.payload.horizontal.values]
+        comps = tuple(SimplicialOperator([0], 0) for _ in range(values[-1] - values[0]))
+        op = SimplicialOperator(values, target.n)
+        return Cell(cell.shape, CellularOperator(cell.shape, target, op, comps))
+
+    step = GluingStep(
+        ambient=amb,
+        before=Subobject.empty(amb),
+        expected_w=Subobject.empty(source),
+        source=source,
+        map_fn=map_fn,
+        label="unnatural",
+    )
+    report, _ = verify_gluing_square(step)
+    assert report["checks"]["pullback"]
+    assert report["checks"]["injective"]
+    assert not report["checks"]["cover"]
+    assert not report["ok"]
+
+
 # -- pullback oracles ----------------------------------------------------------
 
 

@@ -8,14 +8,10 @@ from theta2.cellset import (
     cellset_to_json,
     dump_json,
     from_simplicial,
-    member,
     product,
-    pullback_along,
     representable,
-    subobject_closure,
     subobject_to_json,
     terminal_cellset,
-    union,
 )
 from theta2.delta import SimplicialOperator
 from theta2.sset import J, boundary_sset, standard_simplex
@@ -108,25 +104,25 @@ def test_ez_decomposition_unique_presheaf_level():
 def test_subobject_closure_examples():
     s = shape(0, 2)
     r = representable(s)
-    bd = subobject_closure(r, hyperface_cells(s))
+    bd = Subobject.generated(r, hyperface_cells(s))
     assert not bd.contains(r.top_cell())
     # generated by the identity cell: the whole representable
-    full = subobject_closure(r, [r.top_cell()])
+    full = Subobject.generated(r, [r.top_cell()])
     assert full.is_full()
     # spine of [2;1,1] misses the lower vertical hyperface
     t = shape(1, 1)
     rt = representable(t)
-    sp = subobject_closure(rt, [Cell(v.src, v) for v in vertebrae(t)])
+    sp = Subobject.generated(rt, [Cell(v.src, v) for v in vertebrae(t)])
     dv = vertical_hyperface(t, 1, 0)
-    assert not member(sp, Cell(dv.src, dv))
+    assert not sp.contains(Cell(dv.src, dv))
 
 
 def test_member_degeneracies_and_vertex():
     s = shape(0, 2)
     r = representable(s)
-    bd = subobject_closure(r, hyperface_cells(s))
+    bd = Subobject.generated(r, hyperface_cells(s))
     vertex = CellularOperator(shape(), s, SimplicialOperator([0], 2), ())
-    assert member(bd, Cell(vertex.src, vertex))
+    assert bd.contains(Cell(vertex.src, vertex))
     # a degeneracy of a member is a member
     from theta2.theta import elementary_degeneracies
 
@@ -135,7 +131,7 @@ def test_member_degeneracies_and_vertex():
         for deg, sec in elementary_degeneracies(op.src):
             # y with y . deg living one level up
             img = r.act(base, sec)
-            assert member(bd, img)
+            assert bd.contains(img)
 
 
 def test_horn_misses_named_face():
@@ -146,7 +142,7 @@ def test_horn_misses_named_face():
         for lbl, op in hyperfaces(t)
         if lbl.variant == "V"
     ]
-    horn = subobject_closure(rt, keep)
+    horn = Subobject.generated(rt, keep)
     f = CellularOperator(
         shape(1,), t, SimplicialOperator([0, 2], 2),
         (SimplicialOperator([0, 1], 1), SimplicialOperator([0, 1], 1)),
@@ -160,21 +156,21 @@ def test_lattice_laws():
     subs = []
     hfs = hyperface_cells(s)
     for k in range(1, len(hfs) + 1):
-        subs.append(subobject_closure(r, hfs[:k]))
+        subs.append(Subobject.generated(r, hfs[:k]))
     empty = Subobject.empty(r)
     full = Subobject.full(r)
     for a in subs:
-        assert union(a, a).same_cells(a)
+        assert a.union(a).same_cells(a)
         assert a.intersection(a).same_cells(a)
-        assert union(a, empty).same_cells(a)
+        assert a.union(empty).same_cells(a)
         assert a.intersection(full).same_cells(a)
         for b in subs:
-            assert union(a, b).same_cells(union(b, a))
+            assert a.union(b).same_cells(b.union(a))
             assert a.intersection(b).same_cells(b.intersection(a))
-            assert a.intersection(union(a, b)).same_cells(a)
+            assert a.intersection(a.union(b)).same_cells(a)
             for c in subs:
-                lhs = union(a, b.intersection(c))
-                rhs = union(a, b).intersection(union(a, c))
+                lhs = a.union(b.intersection(c))
+                rhs = a.union(b).intersection(a.union(c))
                 assert lhs.same_cells(rhs)
 
 
@@ -182,10 +178,10 @@ def test_closure_idempotent_monotone():
     s = shape(0, 2)
     r = representable(s)
     hfs = hyperface_cells(s)
-    small = subobject_closure(r, hfs[:2])
-    big = subobject_closure(r, hfs)
+    small = Subobject.generated(r, hfs[:2])
+    big = Subobject.generated(r, hfs)
     assert small.issubset(big)
-    again = subobject_closure(r, list(small.iter_nd()))
+    again = Subobject.generated(r, list(small.iter_nd()))
     assert again.same_cells(small)
 
 
@@ -193,13 +189,13 @@ def test_pullback_of_spine_along_inert_face():
     # inert faces pull spines back to spines, across all shapes of dim <= 4
     for s in shapes_upto(4):
         rt = representable(s)
-        sp = subobject_closure(rt, [Cell(v.src, v) for v in vertebrae(s)])
+        sp = Subobject.generated(rt, [Cell(v.src, v) for v in vertebrae(s)])
         for src in shapes_upto(s.dim):
             for f in faces_between(src, s):
                 if not f.is_inert():
                     continue
-                pb = pullback_along(sp, Cell(f.src, f))
-                src_spine = subobject_closure(
+                pb = sp.pullback_along(Cell(f.src, f))
+                src_spine = Subobject.generated(
                     representable(src), [Cell(v.src, v) for v in vertebrae(src)]
                 )
                 assert pb.same_cells(src_spine), (s, f)
@@ -210,7 +206,7 @@ def test_pullback_of_full_is_full():
     r = representable(s)
     full = Subobject.full(r)
     for _, op in hyperfaces(s):
-        pb = pullback_along(full, Cell(op.src, op))
+        pb = full.pullback_along(Cell(op.src, op))
         assert pb.is_full()
 
 
@@ -241,7 +237,7 @@ def test_generator_outside_ambient_rejected():
     r = representable(shape(0,))
     t = representable(shape(1,))
     with pytest.raises((ThetaError, Exception)):
-        subobject_closure(r, [t.top_cell()])
+        Subobject.generated(r, [t.top_cell()])
 
 
 def test_serialization_shapes():
@@ -254,6 +250,6 @@ def test_serialization_shapes():
     assert isinstance(doc["action"], list) and doc["action"]
     # deterministic output
     assert dump_json(doc) == dump_json(cellset_to_json(from_simplicial(J, 2)))
-    sub = subobject_closure(r, hyperface_cells(shape(1,)))
+    sub = Subobject.generated(r, hyperface_cells(shape(1,)))
     sdoc = subobject_to_json(sub)
     assert sdoc["shapes"]

@@ -184,6 +184,20 @@ def test_cli_bad_script_params_exit_2():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("horn", "[2;0,2]", "--family", "v", "--k", "2"), "--i"),
+        (("horn", "[2;1,1]", "--family", "h-alt", "--k", "1"), "--shuffle"),
+        (("verify", "alt-trivial", "--shape", "[2;1,1]"), "--shuffle"),
+        (("verify", "sigma-s"), "--shape"),
+    ],
+)
+def test_cli_missing_option_exit_2(argv, option, capsys):
+    assert main(list(argv)) == 2
+    assert f"error: missing {option}" in capsys.readouterr().err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "theta2.cli", "hyperfaces", "[1;2]"],
