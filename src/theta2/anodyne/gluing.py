@@ -47,38 +47,43 @@ class GluingStep:
             raise ValueError("a gluing step attaches either a cell or a map")
 
 
-def _source_pullback(step):
+def _map_images(step):
+    """Each nondegenerate source cell of a map step with its image, in source order."""
+    src = step.source
+    return [
+        (cell, step.map_fn(cell))
+        for shape in src.shapes()
+        for cell in (Cell(shape, c) for c in src.nd_cells(shape))
+    ]
+
+
+def _source_pullback(step, images):
     """The attachment locus computed by brute force."""
     if step.cell is not None:
         return step.before.pullback_along(step.cell)
-    return Subobject.where(step.source, lambda c: step.before.contains(step.map_fn(c)))
+    image_of = dict(images)
+    return Subobject.where(step.source, lambda c: step.before.contains(image_of[c]))
 
 
-def _outside_images(step):
+def _outside_images(step, images):
     """Images of the nondegenerate source cells outside the expected locus."""
+    if step.cell is None:
+        return [(c, img) for c, img in images if not step.expected_w.contains(c)]
     out = []
-    if step.cell is not None:
-        for src in shapes_upto(step.cell.shape.dim):
-            for f in faces_between(src, step.cell.shape):
-                if not step.expected_w.contains(Cell(src, f)):
-                    out.append((Cell(src, f), step.ambient.act(step.cell, f)))
-    else:
-        for shape in step.source.shapes():
-            for c in step.source.nd_cells(shape):
-                cell = Cell(shape, c)
-                if not step.expected_w.contains(cell):
-                    out.append((cell, step.map_fn(cell)))
+    for src in shapes_upto(step.cell.shape.dim):
+        for f in faces_between(src, step.cell.shape):
+            if not step.expected_w.contains(Cell(src, f)):
+                out.append((Cell(src, f), step.ambient.act(step.cell, f)))
     return out
 
 
-def image_subobject(step):
+def image_subobject(step, images=None):
+    """The closure of the attached cell, or of the map's images."""
     if step.cell is not None:
         return Subobject.generated(step.ambient, [step.cell])
-    cells = []
-    for shape in step.source.shapes():
-        for c in step.source.nd_cells(shape):
-            cells.append(step.map_fn(Cell(shape, c)))
-    return Subobject.generated(step.ambient, cells)
+    if images is None:
+        images = _map_images(step)
+    return Subobject.generated(step.ambient, [img for _, img in images])
 
 
 def verify_gluing_square(step):
@@ -98,7 +103,8 @@ def verify_gluing_square(step):
         trivial = False
     report["trivial"] = trivial
 
-    w = _source_pullback(step)
+    images = None if step.cell is not None else _map_images(step)
+    w = _source_pullback(step, images)
     if step.compare_dim is None:
         report["checks"]["pullback"] = w.same_cells(step.expected_w)
     else:
@@ -107,7 +113,7 @@ def verify_gluing_square(step):
         )
         report["compare_dim"] = step.compare_dim
 
-    outside = _outside_images(step)
+    outside = _outside_images(step, images)
     injective = True
     seen = {}
     for src_cell, img in outside:
@@ -133,13 +139,13 @@ def verify_gluing_square(step):
         seen[key] = src_cell.payload
     report["checks"]["injective"] = injective
 
-    after = step.before.union(image_subobject(step))
+    after = step.before.union(image_subobject(step, images))
     added = {Cell(s, c) for s, v in after.nd.items() for c in v - step.before.nd_at(s)}
-    images = {img for _, img in outside}
+    attached = {img for _, img in outside}
     if step.compare_dim is not None:
         added = {c for c in added if c.shape.dim <= step.compare_dim}
-        images = {c for c in images if c.shape.dim <= step.compare_dim}
-    report["checks"]["cover"] = added == images
+        attached = {c for c in attached if c.shape.dim <= step.compare_dim}
+    report["checks"]["cover"] = added == attached
     report["new_nd"] = after.nd_count() - step.before.nd_count()
 
     report["ok"] = all(report["checks"].values())

@@ -5,6 +5,17 @@ a finite cell set together with the contravariant operator action.
 Subobjects are represented by their nondegenerate member cells; closure,
 membership, lattice operations and pullbacks all reduce to finite
 bookkeeping through the unique nondegenerate decomposition.
+
+Representables are indexed.  The nondegenerate cells of Theta[shape] are
+exactly its faces, and a face of a face is a face, so each representable
+numbers its faces once (``Representable.face_index``) and keeps, per
+face, the bitmask of its downset.  On a representable ambient a subobject
+also carries the bitmask of its nondegenerate cells: closure ORs downsets,
+membership of a face tests one bit, and the pullback along a face reads
+bits through a cached table of face ids.  Every other ambient, and every
+degenerate cell, takes the generic path through ``nd_decompose`` and the
+action; that path is the reference the differential tests in
+``tests/test_cellset.py`` check the index against.
 """
 
 from __future__ import annotations
@@ -20,6 +31,7 @@ from .theta import (
     compose_cellular,
     elementary_degeneracies,
     faces_between,
+    faces_into,
     hyperfaces,
     identity_cellular,
     reedy_factor,
@@ -27,6 +39,10 @@ from .theta import (
 )
 
 Cell = namedtuple("Cell", ["shape", "payload"])
+
+# faces in dimension order, face -> position, and per face the bitmask of
+# its downset (the face and every face of it)
+FaceIndex = namedtuple("FaceIndex", ["faces", "ids", "down"])
 
 
 class TruncatedCellularSet:
@@ -42,6 +58,7 @@ class TruncatedCellularSet:
         self.bound = bound
         self._nd_memo = {}
         self._cells_memo = {}
+        self._nd_cells_memo = {}
 
     def shapes(self):
         return shapes_upto(self.bound)
@@ -94,6 +111,13 @@ class TruncatedCellularSet:
         return self.nd_decompose(cell)[0] == cell
 
     def nd_cells(self, shape):
+        if shape not in self._nd_cells_memo:
+            if shape.dim > self.bound:
+                raise ThetaError(f"{shape} exceeds truncation bound {self.bound}")
+            self._nd_cells_memo[shape] = self._compute_nd_cells(shape)
+        return self._nd_cells_memo[shape]
+
+    def _compute_nd_cells(self, shape):
         return tuple(c for c in self.cells(shape) if self.is_nondegenerate(Cell(shape, c)))
 
     def cell_count(self):
@@ -106,9 +130,41 @@ class Representable(TruncatedCellularSet):
     def __init__(self, shape, bound=None):
         super().__init__(shape.dim if bound is None else bound)
         self.shape = shape
+        self._face_index = None
+        self._pullback_tables = {}
 
     def _compute_cells(self, shape):
         return cellular_ops(shape, self.shape)
+
+    def _compute_nd_cells(self, shape):
+        # the nondegenerate cells are the faces, sorted like ``cells``
+        return faces_between(shape, self.shape)
+
+    def face_index(self):
+        """The faces of dimension <= bound, numbered, with their downsets."""
+        if self._face_index is None:
+            faces = tuple(f for f in faces_into(self.shape) if f.src.dim <= self.bound)
+            ids = {f: i for i, f in enumerate(faces)}
+            down = []
+            for i, f in enumerate(faces):
+                mask = 1 << i
+                for _, h in hyperfaces(f.src):
+                    mask |= down[ids[compose_cellular(h, f)]]
+                down.append(mask)
+            self._face_index = FaceIndex(faces, ids, down)
+        return self._face_index
+
+    def _pullback_table(self, face):
+        """Ids of ``face ∘ g`` for the faces g of ``representable(face.src)``."""
+        table = self._pullback_tables.get(face)
+        if table is None:
+            ids = self.face_index().ids
+            table = tuple(
+                ids[compose_cellular(g, face)]
+                for g in representable(face.src).face_index().faces
+            )
+            self._pullback_tables[face] = table
+        return table
 
     def _act(self, cell, op):
         return Cell(op.src, compose_cellular(op, cell.payload))
@@ -197,13 +253,37 @@ def terminal_cellset(bound):
 
 
 class Subobject:
-    """A cellular subset, stored by its nondegenerate members per shape."""
+    """A cellular subset, stored by its nondegenerate members per shape.
 
-    __slots__ = ("ambient", "nd")
+    On a representable ambient ``_mask`` caches the same members as a
+    bitmask over the ambient's face index.
+    """
+
+    __slots__ = ("ambient", "nd", "_mask")
 
     def __init__(self, ambient, nd):
         self.ambient = ambient
         self.nd = {s: frozenset(v) for s, v in nd.items() if v}
+        self._mask = None
+
+    @classmethod
+    def _from_mask(cls, ambient, mask):
+        faces = ambient.face_index().faces
+        nd = {}
+        for i, bit in enumerate(reversed(f"{mask:b}")):
+            if bit == "1":
+                nd.setdefault(faces[i].src, []).append(faces[i])
+        sub = cls(ambient, nd)
+        sub._mask = mask
+        return sub
+
+    def _bits(self):
+        """The member bitmask over the face index of a representable ambient."""
+        if self._mask is None:
+            # cells above the truncation bound are not indexed; no face tests them
+            ids = self.ambient.face_index().ids
+            self._mask = sum(1 << ids[f] for v in self.nd.values() for f in v if f in ids)
+        return self._mask
 
     @classmethod
     def empty(cls, ambient):
@@ -230,11 +310,26 @@ class Subobject:
     @classmethod
     def generated(cls, ambient, cells):
         """Smallest action-closed subset containing the given cells."""
-        nd = {}
-        stack = []
+        cells = list(cells)
         for cell in cells:
             if not ambient.contains_cell(cell):
                 raise ThetaError(f"generator {cell} is not a cell of the ambient")
+        if isinstance(ambient, Representable):
+            index = ambient.face_index()
+            mask = 0
+            for cell in cells:
+                i = index.ids.get(cell.payload)
+                if i is None:
+                    i = index.ids.get(ambient.nd_decompose(cell)[0].payload)
+                    if i is None:  # a face above the bound is not indexed
+                        break
+                mask |= index.down[i]
+            else:
+                return cls._from_mask(ambient, mask)
+        # generic closure: decompose each hyperface image of each new cell
+        nd = {}
+        stack = []
+        for cell in cells:
             base, _ = ambient.nd_decompose(cell)
             if base.payload not in nd.setdefault(base.shape, set()):
                 nd[base.shape].add(base.payload)
@@ -249,7 +344,19 @@ class Subobject:
                     stack.append(lower)
         return cls(ambient, nd)
 
+    def _face_id(self, cell):
+        """The face-index id of a face cell of a representable ambient, else None."""
+        if not isinstance(self.ambient, Representable):
+            return None
+        i = self.ambient.face_index().ids.get(cell.payload)
+        if i is None or cell.payload.src != cell.shape:
+            return None
+        return i
+
     def contains(self, cell):
+        i = self._face_id(cell)
+        if i is not None:
+            return bool(self._bits() >> i & 1)
         base, _ = self.ambient.nd_decompose(cell)
         return base.payload in self.nd.get(base.shape, frozenset())
 
@@ -322,6 +429,13 @@ class Subobject:
     def pullback_along(self, cell):
         """Pull the subobject back along a cell, landing in a representable."""
         amb = representable(cell.shape)
+        if self._face_id(cell) is not None:
+            # bit j of the result is bit table[j] of this subobject
+            table = self.ambient._pullback_table(cell.payload)
+            width = len(self.ambient.face_index().faces)
+            bits = f"{self._bits():0{width}b}"[::-1]
+            hits = "".join(bits[t] for t in reversed(table))
+            return Subobject._from_mask(amb, int(hits or "0", 2))
         nd = {}
         for src in shapes_upto(cell.shape.dim):
             hits = {

@@ -13,9 +13,7 @@ from functools import lru_cache
 
 from .delta import (
     CompositionError,
-    DeltaError,
     SimplicialOperator,
-    Shuffle,
     all_monos,
     all_operators,
     compose_simplicial,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .cellset import Cell, TruncatedCellularSet
-from .theta import ThetaError, ThetaShape
+from .theta import ThetaError
 
 
 class Finite2Category:

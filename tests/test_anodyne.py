@@ -194,6 +194,32 @@ def test_gluing_square_cover_fails_on_unnatural_map():
     assert not report["ok"]
 
 
+def test_gluing_square_maps_each_source_cell_once():
+    import dataclasses
+
+    script = vert_equiv(shape(0, 0), 1, 3)
+    calls = {}
+
+    def counted(idx, map_fn):
+        def wrapped(cell):
+            calls[idx, cell] = calls.get((idx, cell), 0) + 1
+            return map_fn(cell)
+
+        return wrapped
+
+    map_steps = []
+    for steps in [script.steps] + [fork.steps for fork in script.forks]:
+        for i, step in enumerate(steps):
+            if getattr(step, "source", None) is not None:
+                steps[i] = dataclasses.replace(step, map_fn=counted(len(map_steps), step.map_fn))
+                map_steps.append(step)
+    assert map_steps
+    assert replay(script)["ok"]
+    for idx, step in enumerate(map_steps):
+        nd = [Cell(s, c) for s in step.source.shapes() for c in step.source.nd_cells(s)]
+        assert {cell: calls.get((idx, cell)) for cell in nd} == dict.fromkeys(nd, 1)
+
+
 # -- pullback oracles ----------------------------------------------------------
 
 

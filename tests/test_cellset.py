@@ -5,6 +5,7 @@ import pytest
 from theta2.cellset import (
     Cell,
     Subobject,
+    TruncatedCellularSet,
     cellset_to_json,
     dump_json,
     from_simplicial,
@@ -19,8 +20,12 @@ from theta2.theta import (
     CellularOperator,
     ThetaError,
     ThetaShape,
+    cellular_ops,
+    compose_cellular,
     degeneracies_between,
+    face_factors_through,
     faces_between,
+    faces_into,
     hyperfaces,
     identity_cellular,
     shapes_upto,
@@ -253,3 +258,76 @@ def test_serialization_shapes():
     sub = Subobject.generated(r, hyperface_cells(shape(1,)))
     sdoc = subobject_to_json(sub)
     assert sdoc["shapes"]
+
+
+# -- the face index against the generic path ---------------------------------
+
+
+class OperatorOracle(TruncatedCellularSet):
+    """Theta[shape] without the face index: every subobject operation on it
+    takes the generic path, with the generic nondegenerate decomposition."""
+
+    def __init__(self, shape, bound=None):
+        super().__init__(shape.dim if bound is None else bound)
+        self.shape = shape
+
+    def _compute_cells(self, sh):
+        return cellular_ops(sh, self.shape)
+
+    def _act(self, cell, op):
+        return Cell(op.src, compose_cellular(op, cell.payload))
+
+    def contains_cell(self, cell):
+        # as for representables, the truncation bound limits the cell sets only
+        return cell.payload.src == cell.shape and cell.payload.dst == self.shape
+
+
+def _assert_index_matches_oracle(s, bound=None, generators=None):
+    """Compare nd_cells, closures, pullbacks and membership on Theta[s]."""
+    rep, oracle = representable(s, bound), OperatorOracle(s, bound)
+    for sh in rep.shapes():
+        assert rep.nd_cells(sh) == oracle.nd_cells(sh), (s, sh)
+    hfs = hyperface_cells(s)
+    if generators is None:
+        generators = [hfs]
+        generators += [[c] for c in hfs]
+        generators += [hfs[:i] + hfs[i + 1 :] for i in range(len(hfs))]
+    faces = [Cell(f.src, f) for f in faces_into(s) if f.src.dim <= rep.bound]
+    ops = [Cell(sh, op) for sh in rep.shapes() for op in cellular_ops(sh, s)]
+    pullbacks = 0
+    for gens in generators:
+        got = Subobject.generated(rep, gens)
+        want = Subobject.generated(oracle, gens)
+        assert got.nd == want.nd, (s, gens)
+        for cell in faces:
+            assert got.pullback_along(cell).nd == want.pullback_along(cell).nd, (s, cell)
+            pullbacks += 1
+        # a subobject built from its cells derives its bitmask from them
+        rebuilt = Subobject(rep, want.nd)
+        for cell in ops:
+            assert got.contains(cell) == rebuilt.contains(cell) == want.contains(cell), (s, cell)
+    return pullbacks
+
+
+def test_face_index_matches_generic_path_up_to_dim_4():
+    pullbacks = sum(_assert_index_matches_oracle(s) for s in shapes_upto(4))
+    assert pullbacks == 3010
+
+
+def test_face_index_matches_generic_path_off_the_shape_bound():
+    # above the shape's dimension, as the horizontal equivalence ambient has it
+    _assert_index_matches_oracle(shape(0, 0), bound=4)
+    # below it: cells above the bound are not indexed and close generically
+    s = shape(1, 0)
+    _assert_index_matches_oracle(s, bound=2)
+    top = Cell(s, identity_cellular(s))
+    _assert_index_matches_oracle(s, bound=2, generators=[[top], hyperface_cells(s) + [top]])
+
+
+def test_face_index_downsets():
+    s = shape(1, 1)
+    index = representable(s).face_index()
+    assert len(index.faces) == len(faces_into(s))
+    for i, f in enumerate(index.faces):
+        below = {g for g in index.faces if face_factors_through(g, f) is not None}
+        assert {index.faces[j] for j in range(len(index.faces)) if index.down[i] >> j & 1} == below
