@@ -7,6 +7,7 @@ proper nonempty shuffle slice, and that slice downward closed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from ..delta import shuffle_leq, shuffles
@@ -65,8 +66,6 @@ class AdmissibleSet:
 
 def enumerate_admissible_sets(shape, vertical_only=False):
     """All admissible label sets, for the desk-scale acceptance sweeps."""
-    import itertools
-
     inner = inner_hyperface_labels(shape)
     if vertical_only:
         inner = tuple(l for l in inner if l.variant == HyperfaceLabel.V)

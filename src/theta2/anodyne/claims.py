@@ -7,6 +7,7 @@ pullback by brute force over faces and compares.
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from ..boxprod import face_closure, upsilon_subobject
@@ -207,8 +208,6 @@ def check_claim5(shape, k, base_shf, shf):
 
 def run_claims_suite(max_n=3, max_q=2, progress=None):
     """Claims 0-4 and their upward duals plus claim 5, over the whole grid."""
-    import itertools
-
     failures = []
     total = 0
     for n in range(2, max_n + 1):

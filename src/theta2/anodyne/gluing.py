@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..cellset import Cell, Subobject
-from ..theta import faces_between, shapes_upto
+from ..theta import faces_into
 
 
 @dataclass
@@ -69,12 +69,11 @@ def _outside_images(step, images):
     """Images of the nondegenerate source cells outside the expected locus."""
     if step.cell is None:
         return [(c, img) for c, img in images if not step.expected_w.contains(c)]
-    out = []
-    for src in shapes_upto(step.cell.shape.dim):
-        for f in faces_between(src, step.cell.shape):
-            if not step.expected_w.contains(Cell(src, f)):
-                out.append((Cell(src, f), step.ambient.act(step.cell, f)))
-    return out
+    return [
+        (Cell(f.src, f), step.ambient.act(step.cell, f))
+        for f in faces_into(step.cell.shape)
+        if not step.expected_w.contains(Cell(f.src, f))
+    ]
 
 
 def image_subobject(step, images=None):

@@ -13,7 +13,6 @@ from typing import Callable, Optional
 
 from ..boxprod import (
     BoxCellSet,
-    boundary,
     equiv_horiz,
     equiv_vert,
     face_closure,
@@ -22,20 +21,27 @@ from ..boxprod import (
     horn_h_alt,
     lambda_subobject,
     sigma_subobject,
+    slot_component,
     spine_subobject,
     theta_corner,
     upsilon_subobject,
     theta_corner_contains,
 )
 from ..cellset import Cell, Subobject, representable
-from ..delta import SimplicialOperator, all_monos, shuffle_leq, shuffles
+from ..delta import (
+    SimplicialOperator,
+    all_monos,
+    shuffle_corners,
+    shuffle_leq,
+    shuffles,
+)
 from ..sset import DIAMOND, FILLED, J, standard_simplex
 from ..theta import (
     CellularOperator,
     HyperfaceLabel,
     ThetaError,
     ThetaShape,
-    faces_between,
+    faces_into,
     horizontal_face_0,
     horizontal_face_n,
     hyperface_operator,
@@ -44,7 +50,6 @@ from ..theta import (
     is_mono_vertebral,
     op_dual_shape,
     outer_hyperface_order,
-    shapes_upto,
     vertical_hyperface,
 )
 from .admissible import is_admissible, shuffle_slice
@@ -176,15 +181,51 @@ def _hlabel(k, shf):
     return HyperfaceLabel(HyperfaceLabel.HK, k=k, shuffle=shf)
 
 
-def _horn_meta(family, shape, k=None, i=None, shf=None):
-    meta = {"family": family, "shape": str(shape)}
-    if k is not None:
-        meta["k"] = k
+def _face_step(label, op, expected_w):
+    """Glue the face ``op`` of the ambient representable along ``expected_w``."""
+    return GluingStep(label=label, cell=Cell(op.src, op), expected_w=expected_w)
+
+
+def _horn_step(label, cell, k, i=None, shf=None, bound=None):
+    """Glue ``cell`` along a horn of its shape.
+
+    The horn is vertical at ``(k; i)`` when ``i`` is given, the alternative
+    horizontal horn at ``(k; shf)`` when ``shf`` is given, and the k-th
+    horizontal horn otherwise.  With ``bound`` set, a cell at the bound is an
+    uncertified tail and a cell above it is a margin attachment.
+    """
+    shape = cell.shape
+    meta = {"family": "horn-h", "shape": str(shape), "k": k}
     if i is not None:
+        meta["family"], horn = "horn-v", horn_v(shape, k, i)
         meta["i"] = i
-    if shf is not None:
+    elif shf is not None:
+        meta["family"], horn = "horn-h-alt", horn_h_alt(shape, k, shf)
         meta["shuffle"] = str(shf)
-    return meta
+    else:
+        horn = horn_h(shape, k)
+    margin = {}
+    if bound is not None:
+        margin = {"tail": shape.dim >= bound, "verify": shape.dim <= bound}
+    return GluingStep(
+        label=label, cell=cell, expected_w=horn.domain, horn=meta, **margin
+    )
+
+
+def _horn_stage(ambient, stage, attach, horn_of, bound, key=None):
+    """One horn step per nondegenerate cell whose payload ``attach`` selects.
+
+    Cells are glued in ``key`` order (dimension, shape, payload by default);
+    ``horn_of(cell)`` gives the ``_horn_step`` horn index, ``(k,)`` or ``(k, i)``.
+    """
+    cells = sorted(
+        Subobject.where(ambient, lambda c: attach(c.payload)).iter_nd(),
+        key=key or (lambda cell: (cell.shape.dim, cell.shape, cell.payload)),
+    )
+    return [
+        _horn_step(f"stage {stage} glue {cell.payload}", cell, *horn_of(cell), bound=bound)
+        for cell in cells
+    ]
 
 
 # -- spine decomposition -------------------------------------------------------
@@ -212,71 +253,39 @@ def spine_anodyne(shape):
     if n == 1:
         q = shape.q(1)
         top = vertical_hyperface(shape, 1, q)
-        steps.append(
-            GluingStep(
-                label="glue dv^{1;q} along lower spine",
-                cell=Cell(top.src, top),
-                expected_w=spine_subobject(top.src),
-            )
-        )
         bottom = vertical_hyperface(shape, 1, 0)
         steps.append(
-            GluingStep(
-                label="glue dv^{1;0} along dagger stage",
-                cell=Cell(bottom.src, bottom),
-                expected_w=sigma_subobject(bottom.src, frozenset([_vlabel(1, q - 1)])),
+            _face_step("glue dv^{1;q} along lower spine", top, spine_subobject(top.src))
+        )
+        steps.append(
+            _face_step(
+                "glue dv^{1;0} along dagger stage",
+                bottom,
+                sigma_subobject(bottom.src, frozenset([_vlabel(1, q - 1)])),
             )
         )
         for p in range(2, q + 1):
-            src = ThetaShape((p,))
             for alpha in all_monos(p, q):
                 if {0, 1, q} <= set(alpha.values):
-                    cell_op = vertical_face(shape, alpha)
-                    steps.append(
-                        GluingStep(
-                            label=f"glue [id;{alpha.short()}] along horn-v^(1;1)",
-                            cell=Cell(cell_op.src, cell_op),
-                            expected_w=horn_v(src, 1, 1).domain,
-                            horn=_horn_meta("horn-v", src, k=1, i=1),
-                        )
-                    )
+                    op = vertical_face(shape, alpha)
+                    label = f"glue [id;{alpha.short()}] along horn-v^(1;1)"
+                    steps.append(_horn_step(label, Cell(op.src, op), 1, i=1))
     else:
         dh_n = horizontal_face_n(shape)
-        steps.append(
-            GluingStep(
-                label="glue dh^n face along lower spine",
-                cell=Cell(dh_n.src, dh_n),
-                expected_w=spine_subobject(dh_n.src),
-            )
-        )
         dh_0 = horizontal_face_0(shape)
-        prime_src = dh_0.src
-        prime = spine_subobject(prime_src).union(
-            face_closure(prime_src, [horizontal_face_n(prime_src)])
+        prime = spine_subobject(dh_0.src).union(
+            face_closure(dh_0.src, [horizontal_face_n(dh_0.src)])
         )
         steps.append(
-            GluingStep(
-                label="glue dh^0 face along primed stage",
-                cell=Cell(dh_0.src, dh_0),
-                expected_w=prime,
-            )
+            _face_step("glue dh^n face along lower spine", dh_n, spine_subobject(dh_n.src))
         )
-        pending = []
-        for src in shapes_upto(shape.dim):
-            for f in faces_between(src, shape):
-                im = set(f.horizontal.values)
-                if {0, 1, n} <= im:
-                    pending.append(f)
-        pending.sort(key=lambda f: (f.src.dim, f))
+        steps.append(_face_step("glue dh^0 face along primed stage", dh_0, prime))
+        pending = sorted(
+            (f for f in faces_into(shape) if {0, 1, n} <= set(f.horizontal.values)),
+            key=lambda f: (f.src.dim, f),
+        )
         for f in pending:
-            steps.append(
-                GluingStep(
-                    label=f"glue {f} along horn-h^1",
-                    cell=Cell(f.src, f),
-                    expected_w=horn_h(f.src, 1).domain,
-                    horn=_horn_meta("horn-h", f.src, k=1),
-                )
-            )
+            steps.append(_horn_step(f"glue {f} along horn-h^1", Cell(f.src, f), 1))
     return ReplayScript(
         name="spine_anodyne",
         params=params,
@@ -370,13 +379,7 @@ def sigma_s(shape, labels):
         if len(t) > idx:
             notes.append(f"|T| > |S'| at {label}")
         op = hyperface_operator(shape, label)
-        steps.append(
-            GluingStep(
-                label=f"glue outer {label}",
-                cell=Cell(op.src, op),
-                expected_w=sigma_subobject(src, t),
-            )
-        )
+        steps.append(_face_step(f"glue outer {label}", op, sigma_subobject(src, t)))
     return ReplayScript(
         name="sigma_s",
         params={"shape": str(shape), "labels": [str(l) for l in labels]},
@@ -404,48 +407,30 @@ def _vertical_pullback_labels(before, k, i):
 
 def upsilon_vertical(shape, labels):
     """Attach admissible inner vertical hyperfaces onto the outer stage."""
-    labels = sorted(set(labels), key=lambda l: (l.k, l.i))
-    for l in labels:
-        if l.variant != HyperfaceLabel.V:
-            raise ThetaError("upsilon_vertical expects vertical labels only")
-    ok, _ = is_admissible(shape, labels)
-    if not ok:
-        raise ThetaError(f"set is not admissible for {shape}")
-    amb = representable(shape)
-    steps = []
-    notes = []
-    attached = []
-    for label in labels:
-        op = hyperface_operator(shape, label)
-        t = _vertical_pullback_labels(attached, label.k, label.i)
-        t_ok, _ = is_admissible(op.src, t)
-        if not t_ok:
-            notes.append(f"T at {label} is not admissible")
-        if len(t) != len(attached):
-            notes.append(f"|T| != |S'| at {label}")
-        steps.append(
-            GluingStep(
-                label=f"glue inner vertical {label}",
-                cell=Cell(op.src, op),
-                expected_w=upsilon_subobject(op.src, t),
-            )
-        )
-        attached.append(label)
-    return ReplayScript(
-        name="upsilon_vertical",
-        params={"shape": str(shape), "labels": [str(l) for l in labels]},
-        ambient=amb,
-        initial=upsilon_subobject(shape, frozenset()),
-        steps=steps,
-        target=upsilon_subobject(shape, frozenset(labels)),
-        certified_dim=shape.dim,
-        notes=notes,
-    )
+    labels = set(labels)
+    if any(l.variant != HyperfaceLabel.V for l in labels):
+        raise ThetaError("upsilon_vertical expects vertical labels only")
+    script = upsilon_full(shape, labels)
+    script.name = "upsilon_vertical"
+    script.params["labels"] = [str(l) for l in sorted(labels, key=lambda l: (l.k, l.i))]
+    return script
 
 
 def _merged_shape(shape, k):
     qs = shape.qs[: k - 1] + (shape.q(k) + shape.q(k + 1),) + shape.qs[k + 1 :]
     return ThetaShape(qs)
+
+
+def _singleton_preimages(k, shf, at_k, at_k1):
+    """The labels (k; j) with j the only preimage of an index of ``at_k``
+    under the shuffle's alpha, or of an index of ``at_k1`` under alpha'."""
+    t = set()
+    for values, indices in ((shf.alpha.values, at_k), (shf.alpha_prime.values, at_k1)):
+        for i in indices:
+            pre = [j for j, v in enumerate(values) if v == i]
+            if len(pre) == 1:
+                t.add(_vlabel(k, pre[0]))
+    return t
 
 
 def _horizontal_stage_t(shape, k, shf, stage_labels):
@@ -467,33 +452,23 @@ def _horizontal_stage_t(shape, k, shf, stage_labels):
             for g in shuffles(src.q(ell - 1), src.q(ell)):
                 t.add(_hlabel(ell - 1, g))
     # T2: lower corners of the attached shuffle
-    from ..delta import shuffle_corners
-
     lower, _ = shuffle_corners(shf)
     for j in lower:
         t.add(_vlabel(k, j))
     # T3 and its shift
-    for lbl in before:
-        if lbl.variant != HyperfaceLabel.V:
-            continue
+    verticals = [lbl for lbl in before if lbl.variant == HyperfaceLabel.V]
+    for lbl in verticals:
         if lbl.k < k:
             t.add(_vlabel(lbl.k, lbl.i))
         elif lbl.k > k + 1:
             t.add(_vlabel(lbl.k - 1, lbl.i))
     # T4/T4': singleton preimages of attached verticals at k and k+1
-    alpha = shf.alpha.values
-    alpha_p = shf.alpha_prime.values
-    for lbl in before:
-        if lbl.variant != HyperfaceLabel.V:
-            continue
-        if lbl.k == k:
-            pre = [j for j, v in enumerate(alpha) if v == lbl.i]
-            if len(pre) == 1:
-                t.add(_vlabel(k, pre[0]))
-        if lbl.k == k + 1:
-            pre = [j for j, v in enumerate(alpha_p) if v == lbl.i]
-            if len(pre) == 1:
-                t.add(_vlabel(k, pre[0]))
+    t |= _singleton_preimages(
+        k,
+        shf,
+        [lbl.i for lbl in verticals if lbl.k == k],
+        [lbl.i for lbl in verticals if lbl.k == k + 1],
+    )
     return src, frozenset(t)
 
 
@@ -535,12 +510,13 @@ def upsilon_full(shape, labels):
     for label in verticals:
         op = hyperface_operator(shape, label)
         t = _vertical_pullback_labels(attached, label.k, label.i)
+        t_ok, _ = is_admissible(op.src, t)
+        if not t_ok:
+            notes.append(f"T at {label} is not admissible")
+        if len(t) != len(attached):
+            notes.append(f"|T| != |S'| at {label}")
         steps.append(
-            GluingStep(
-                label=f"glue inner vertical {label}",
-                cell=Cell(op.src, op),
-                expected_w=upsilon_subobject(op.src, t),
-            )
+            _face_step(f"glue inner vertical {label}", op, upsilon_subobject(op.src, t))
         )
         attached.append(label)
     for label in horizontals:
@@ -551,11 +527,7 @@ def upsilon_full(shape, labels):
             notes.append(f"T at {label} is not admissible")
         op = hyperface_operator(shape, label)
         steps.append(
-            GluingStep(
-                label=f"glue inner horizontal {label}",
-                cell=Cell(op.src, op),
-                expected_w=upsilon_subobject(src, t),
-            )
+            _face_step(f"glue inner horizontal {label}", op, upsilon_subobject(src, t))
         )
         attached.append(label)
     return ReplayScript(
@@ -580,6 +552,7 @@ def oury_from_alt(shape, labels):
         raise ThetaError("oury_from_alt needs a non-empty excluded set")
     variants = {l.variant for l in labels}
     amb = representable(shape)
+    top_cell = Cell(shape, identity_cellular(shape))
     steps = []
     notes = []
     if variants == {HyperfaceLabel.V}:
@@ -597,21 +570,12 @@ def oury_from_alt(shape, labels):
             t = {_vlabel(k, j) for j in remaining if j < i}
             t |= {_vlabel(k, j - 1) for j in remaining if j > i}
             steps.append(
-                GluingStep(
-                    label=f"glue dv^({k};{i})",
-                    cell=Cell(op.src, op),
-                    expected_w=lambda_subobject(op.src, frozenset(t)),
-                )
+                _face_step(f"glue dv^({k};{i})", op, lambda_subobject(op.src, frozenset(t)))
             )
             remaining = remaining[:-1]
         i0 = remaining[0]
         steps.append(
-            GluingStep(
-                label=f"fill elementary horn-v^({k};{i0})",
-                cell=Cell(shape, identity_cellular(shape)),
-                expected_w=horn_v(shape, k, i0).domain,
-                horn=_horn_meta("horn-v", shape, k=k, i=i0),
-            )
+            _horn_step(f"fill elementary horn-v^({k};{i0})", top_cell, k, i=i0)
         )
     elif variants == {HyperfaceLabel.HK}:
         ks = {l.k for l in labels}
@@ -626,29 +590,18 @@ def oury_from_alt(shape, labels):
         if not upward:
             raise ThetaError("horizontal excluded set must be upward closed")
         remaining = sorted(shfs, key=lambda s: s.alpha.values)
-        from ..delta import shuffle_corners
-
         while len(remaining) >= 2:
             shf = remaining[0]
             op = hyperface_operator(shape, _hlabel(k, shf))
             _, upper = shuffle_corners(shf)
             t = {_vlabel(k, j) for j in upper}
             steps.append(
-                GluingStep(
-                    label=f"glue dh^({k};{shf})",
-                    cell=Cell(op.src, op),
-                    expected_w=lambda_subobject(op.src, frozenset(t)),
-                )
+                _face_step(f"glue dh^({k};{shf})", op, lambda_subobject(op.src, frozenset(t)))
             )
             remaining = remaining[1:]
         last = remaining[0]
         steps.append(
-            GluingStep(
-                label=f"fill elementary alt horn at {last}",
-                cell=Cell(shape, identity_cellular(shape)),
-                expected_w=horn_h_alt(shape, k, last).domain,
-                horn=_horn_meta("horn-h-alt", shape, k=k, shf=last),
-            )
+            _horn_step(f"fill elementary alt horn at {last}", top_cell, k, shf=last)
         )
     else:
         raise ThetaError("excluded set must be all-vertical or all-horizontal")
@@ -666,8 +619,6 @@ def oury_from_alt(shape, labels):
 
 def _alt_stage_t(shape, k, base, shf):
     """The six-piece locus for the upward-closed alternative-horn lemma."""
-    from ..delta import shuffle_corners
-
     src = _merged_shape(shape, k)
     t = set()
     for ell in range(1, src.n):
@@ -681,16 +632,7 @@ def _alt_stage_t(shape, k, base, shf):
             continue
         for j in range(1, src.q(m)):
             t.add(_vlabel(m, j))
-    alpha = shf.alpha.values
-    alpha_p = shf.alpha_prime.values
-    for i in range(1, shape.q(k)):
-        pre = [j for j, v in enumerate(alpha) if v == i]
-        if len(pre) == 1:
-            t.add(_vlabel(k, pre[0]))
-    for i in range(1, shape.q(k + 1)):
-        pre = [j for j, v in enumerate(alpha_p) if v == i]
-        if len(pre) == 1:
-            t.add(_vlabel(k, pre[0]))
+    t |= _singleton_preimages(k, shf, range(1, shape.q(k)), range(1, shape.q(k + 1)))
     for j in lower:
         if shf.alpha.values[j] == base.alpha.values[j]:
             t.add(_vlabel(k, j))
@@ -729,13 +671,7 @@ def alt_trivial(shape, k, base_shf, i_set):
         if not t_ok:
             notes.append(f"T at {shf} is not admissible")
         op = hyperface_operator(shape, _hlabel(k, shf))
-        steps.append(
-            GluingStep(
-                label=f"glue dh^({k};{shf})",
-                cell=Cell(op.src, op),
-                expected_w=upsilon_subobject(src, t),
-            )
-        )
+        steps.append(_face_step(f"glue dh^({k};{shf})", op, upsilon_subobject(src, t)))
     return ReplayScript(
         name="alt_trivial",
         params={
@@ -754,23 +690,6 @@ def alt_trivial(shape, k, base_shf, i_set):
 
 
 # -- vertical equivalence extensions -------------------------------------------
-
-
-def _slot_comp(payload, slot):
-    x, comps = payload
-    if x[0] < slot <= x[-1]:
-        return comps[slot - x[0] - 1]
-    return None
-
-
-def _has_filled(payload, k):
-    y = _slot_comp(payload, k)
-    return y is not None and FILLED in y
-
-
-def _is_identity_comp(payload, slot, q):
-    y = _slot_comp(payload, slot)
-    return y == tuple(range(q + 1))
 
 
 def _surjective_comp(y, q):
@@ -812,6 +731,9 @@ def vert_equiv(shape, k, bound):
     work = bound + 2
     psi, phi, _ = equiv_vert(shape, k, work)
     corner = theta_corner(phi, shape, k)
+    # the base values of the identity and of the k-th face of [n]
+    id_vals = tuple(range(n + 1))
+    delta_vals = tuple(v for v in range(n + 1) if v != k)
 
     edge = BoxCellSet(1, standard_simplex(1), [J], work)
 
@@ -844,96 +766,59 @@ def vert_equiv(shape, k, bound):
 
     def stage1_pred(payload):
         x = payload[0]
-        return x[0] < k - 1 and x[-1] == k and _has_filled(payload, k)
+        return x[0] < k - 1 and x[-1] == k and not theta_corner_contains(payload, k)
 
     def stage1_attach(payload):
         x = payload[0]
         return stage1_pred(payload) and len(x) >= 2 and x[-2] == k - 1
 
-    stage1 = _collect(phi, stage1_attach)
-    for cell in stage1:
-        m = cell.shape.n
-        steps.append(
-            GluingStep(
-                label=f"stage 1 glue {cell.payload}",
-                cell=cell,
-                expected_w=horn_h(cell.shape, m - 1).domain,
-                horn=_horn_meta("horn-h", cell.shape, k=m - 1),
-                tail=cell.shape.dim >= bound,
-                verify=cell.shape.dim <= bound,
-            )
-        )
-    steps.append(_stage_check(phi, "stage 1 content", [stage0_pred, stage1_pred], bound))
+    steps += _horn_stage(phi, 1, stage1_attach, lambda cell: (cell.shape.n - 1,), bound)
+    preds = [stage0_pred, stage1_pred]
+    steps.append(_stage_check(phi, "stage 1 content", preds, bound))
 
     def stage2_pred(payload):
         x = payload[0]
-        if not (x[0] <= k - 1 and x[-1] > k and _has_filled(payload, k)):
+        if not (x[0] <= k - 1 and x[-1] > k and not theta_corner_contains(payload, k)):
             return False
-        id_vals = tuple(range(n + 1))
-        delta_vals = tuple(v for v in range(n + 1) if v != k)
         return x != id_vals and x != delta_vals
 
     def stage2_attach(payload):
         x = payload[0]
         return stage2_pred(payload) and any(v == k for v in x[1:-1])
 
-    stage2 = _collect(phi, stage2_attach)
-    for cell in stage2:
+    def stage2_horn(cell):
         x = cell.payload[0]
-        ell = next(i for i in range(1, len(x) - 1) if x[i] == k)
-        steps.append(
-            GluingStep(
-                label=f"stage 2 glue {cell.payload}",
-                cell=cell,
-                expected_w=horn_h(cell.shape, ell).domain,
-                horn=_horn_meta("horn-h", cell.shape, k=ell),
-                tail=cell.shape.dim >= bound,
-                verify=cell.shape.dim <= bound,
-            )
-        )
-    preds = [stage0_pred, stage1_pred, stage2_pred]
+        return (next(i for i in range(1, len(x) - 1) if x[i] == k),)
+
+    steps += _horn_stage(phi, 2, stage2_attach, stage2_horn, bound)
+    preds = preds + [stage2_pred]
     steps.append(_stage_check(phi, "stage 2 content", preds, bound))
 
     def stage3_pred(payload):
         x = payload[0]
-        id_vals = tuple(range(n + 1))
-        delta_vals = tuple(v for v in range(n + 1) if v != k)
-        if x not in (id_vals, delta_vals) or not _has_filled(payload, k):
+        if x not in (id_vals, delta_vals) or theta_corner_contains(payload, k):
             return False
         for slot in range(x[0] + 1, x[-1] + 1):
             if slot == k:
                 continue
-            if not _surjective_comp(_slot_comp(payload, slot), shape.q(slot)):
+            if not _surjective_comp(slot_component(payload, slot), shape.q(slot)):
                 return True
         return False
 
     def stage3_attach(payload):
-        return stage3_pred(payload) and payload[0] == tuple(range(n + 1))
+        return stage3_pred(payload) and payload[0] == id_vals
 
-    stage3 = _collect(phi, stage3_attach)
-    for cell in stage3:
-        steps.append(
-            GluingStep(
-                label=f"stage 3 glue {cell.payload}",
-                cell=cell,
-                expected_w=horn_h(cell.shape, k).domain,
-                horn=_horn_meta("horn-h", cell.shape, k=k),
-                tail=cell.shape.dim >= bound,
-                verify=cell.shape.dim <= bound,
-            )
-        )
+    steps += _horn_stage(phi, 3, stage3_attach, lambda cell: (k,), bound)
     preds = preds + [stage3_pred]
     steps.append(_stage_check(phi, "stage 3 content", preds, bound))
 
-    psi_fork_steps = []
     if shape.q(k + 1) >= 1:
         def stage4_data(payload):
             x = payload[0]
-            delta_vals = tuple(v for v in range(n + 1) if v != k)
             if x != delta_vals:
                 return None
-            ak = _slot_comp(payload, k)
-            ak1 = _slot_comp(payload, k + 1)
+            ak = slot_component(payload, k)
+            ak1 = slot_component(payload, k + 1)
             if ak is None or FILLED not in ak:
                 return None
             if not _surjective_comp(ak1, shape.q(k + 1)):
@@ -941,7 +826,7 @@ def vert_equiv(shape, k, bound):
             for slot in range(x[0] + 1, x[-1] + 1):
                 if slot in (k, k + 1):
                     continue
-                if not _is_identity_comp(payload, slot, shape.q(slot)):
+                if slot_component(payload, slot) != tuple(range(shape.q(slot) + 1)):
                     return None
             pairs = tuple(zip(ak, ak1))
             if any(pairs[i] == pairs[i + 1] for i in range(len(pairs) - 1)):
@@ -955,33 +840,20 @@ def vert_equiv(shape, k, bound):
 
         def stage4_attach(payload):
             data = stage4_data(payload)
-            if data is None:
-                return False
-            _, j_a = data
-            ak = _slot_comp(payload, k)
-            return ak[j_a] == DIAMOND
+            return data is not None and slot_component(payload, k)[data[1]] == DIAMOND
 
-        stage4 = _collect(
+        psi_fork_steps = _horn_stage(
             phi,
+            4,
             stage4_attach,
+            lambda cell: (k, stage4_data(cell.payload)[1]),
+            bound,
             key=lambda cell: (
                 cell.shape.dim,
-                sum(1 for v in _slot_comp(cell.payload, k) if v == FILLED),
+                sum(1 for v in slot_component(cell.payload, k) if v == FILLED),
                 cell.payload,
             ),
         )
-        for cell in stage4:
-            _, j_a = stage4_data(cell.payload)
-            psi_fork_steps.append(
-                GluingStep(
-                    label=f"stage 4 glue {cell.payload}",
-                    cell=cell,
-                    expected_w=horn_v(cell.shape, k, j_a).domain,
-                    horn=_horn_meta("horn-v", cell.shape, k=k, i=j_a),
-                    tail=cell.shape.dim >= bound,
-                    verify=cell.shape.dim <= bound,
-                )
-            )
     else:
         sub_shape = ThetaShape(shape.qs[:k] + shape.qs[k + 1 :])
         sub_psi, sub_phi, _ = equiv_vert(sub_shape, k, work)
@@ -1002,7 +874,7 @@ def vert_equiv(shape, k, bound):
                     ncomps.append(comps[j - 1 - x[0] - 1])
             return Cell(cell.shape, (nx, tuple(ncomps)))
 
-        psi_fork_steps.append(
+        psi_fork_steps = [
             GluingStep(
                 label="glue the lower extension along its own domain",
                 source=sub_phi,
@@ -1010,7 +882,7 @@ def vert_equiv(shape, k, bound):
                 expected_w=sub_psi,
                 compare_dim=bound,
             )
-        )
+        ]
 
     return ReplayScript(
         name="vert_equiv",
@@ -1026,14 +898,6 @@ def vert_equiv(shape, k, bound):
         notes=[
             "the ambient side of the extension is meta-level (right cancellation)"
         ],
-    )
-
-
-def _collect(ambient, pred, key=None):
-    """The nondegenerate cells whose payloads satisfy ``pred``, sorted by ``key``."""
-    return sorted(
-        Subobject.where(ambient, lambda c: pred(c.payload)).iter_nd(),
-        key=key or (lambda cell: (cell.shape.dim, cell.shape, cell.payload)),
     )
 
 
@@ -1079,10 +943,7 @@ def horiz_equiv(shape, bound):
         )
 
     def in_x(payload):
-        u, f = payload
-        if all(v == DIAMOND for v in u):
-            return True
-        return boundary(shape).domain.contains(Cell(f.src, f))
+        return inc.domain.contains(Cell(payload[1].src, payload))
 
     def k_phi_one(payload):
         u, _ = payload
@@ -1099,27 +960,18 @@ def horiz_equiv(shape, bound):
         vals = f.horizontal.values
         return vals[kp] == vals[kp - 1]
 
-    steps = []
-    stage1 = _collect(
+    steps = _horn_stage(
         amb,
+        1,
         stage1_attach,
+        lambda cell: (k_phi_one(cell.payload),),
+        bound,
         key=lambda cell: (
             cell.shape.dim,
             sum(1 for v in cell.payload[0] if v == FILLED),
             cell.payload,
         ),
     )
-    for cell in stage1:
-        kp = k_phi_one(cell.payload)
-        steps.append(
-            GluingStep(
-                label=f"stage 1 glue {cell.payload}",
-                cell=cell,
-                expected_w=horn_h(cell.shape, kp).domain,
-                horn=_horn_meta("horn-h", cell.shape, k=kp),
-                tail=cell.shape.dim >= bound,
-            )
-        )
     steps.append(_stage_check(amb, "stage 1 content", [in_x, stage1_pred], bound))
 
     def k_phi_two(payload):
@@ -1133,18 +985,9 @@ def horiz_equiv(shape, bound):
         u, _ = payload
         return u[k_phi_two(payload)] == DIAMOND
 
-    stage2 = _collect(amb, stage2_attach)
-    for cell in stage2:
-        kp = k_phi_two(cell.payload)
-        steps.append(
-            GluingStep(
-                label=f"stage 2 glue {cell.payload}",
-                cell=cell,
-                expected_w=horn_h(cell.shape, kp).domain,
-                horn=_horn_meta("horn-h", cell.shape, k=kp),
-                tail=cell.shape.dim >= bound,
-            )
-        )
+    steps += _horn_stage(
+        amb, 2, stage2_attach, lambda cell: (k_phi_two(cell.payload),), bound
+    )
     return ReplayScript(
         name="horiz_equiv",
         params={"shape": str(shape), "bound": bound},

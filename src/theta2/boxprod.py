@@ -10,6 +10,7 @@ of j.  Operators act by reindexing the base and restricting components.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -31,6 +32,7 @@ from .sset import (
     standard_simplex,
 )
 from .theta import (
+    CellularOperator,
     HyperfaceLabel,
     ThetaError,
     hyperface_operator,
@@ -62,8 +64,6 @@ class BoxCellSet(TruncatedCellularSet):
         return self.fibers[j - 1]
 
     def _compute_cells(self, shape):
-        import itertools
-
         out = []
         for x in self.base.level(shape.n):
             covered = range(x[0] + 1, x[-1] + 1)
@@ -109,8 +109,6 @@ def box_cell_to_operator(box, cell, shape_codomain):
     """Transport a cell of box(id; Delta[q*]) to an operator into [n;q]."""
     x, comps = cell.payload
     alpha = SimplicialOperator(x, shape_codomain.n)
-    from .theta import CellularOperator
-
     comp_ops = tuple(
         SimplicialOperator(comps[j - x[0] - 1], shape_codomain.q(j))
         for j in range(x[0] + 1, x[-1] + 1)
@@ -325,11 +323,12 @@ def vertical_extension_ambient(shape, k, bound):
     return BoxCellSet(shape.n, standard_simplex(shape.n), fibers, bound)
 
 
-def _slot_components(payload, slot):
+def slot_component(payload, slot):
+    """The fiber component of a box cell at hom slot ``slot``; None if uncovered."""
     x, comps = payload
     if x[0] < slot <= x[-1]:
-        return (comps[slot - x[0] - 1],)
-    return ()
+        return comps[slot - x[0] - 1]
+    return None
 
 
 def psi_contains(payload, shape, k):
@@ -338,21 +337,19 @@ def psi_contains(payload, shape, k):
     A cell lies outside exactly when the base and all non-k components are
     surjective and some k-component contains the filled vertex.
     """
-    x, comps = payload
+    x, _ = payload
     if set(x) != set(range(shape.n + 1)):
         return True
     for j in range(x[0] + 1, x[-1] + 1):
-        y = comps[j - x[0] - 1]
-        if j == k:
-            continue
-        if set(y) != set(range(shape.q(j) + 1)):
+        if j != k and set(slot_component(payload, j)) != set(range(shape.q(j) + 1)):
             return True
-    return all(FILLED not in y for y in _slot_components(payload, k))
+    return theta_corner_contains(payload, k)
 
 
 def theta_corner_contains(payload, k):
     """Membership in the representable corner (no filled vertex in slot k)."""
-    return all(FILLED not in y for y in _slot_components(payload, k))
+    y = slot_component(payload, k)
+    return y is None or FILLED not in y
 
 
 def equiv_vert(shape, k, bound):

@@ -24,6 +24,7 @@ import json
 from collections import namedtuple
 from functools import lru_cache
 
+from .sset import standard_simplex
 from .theta import (
     CellularOperator,
     ThetaError,
@@ -119,9 +120,6 @@ class TruncatedCellularSet:
 
     def _compute_nd_cells(self, shape):
         return tuple(c for c in self.cells(shape) if self.is_nondegenerate(Cell(shape, c)))
-
-    def cell_count(self):
-        return sum(len(self.cells(s)) for s in self.shapes())
 
 
 class Representable(TruncatedCellularSet):
@@ -244,8 +242,6 @@ def product(left, right, bound=None):
 
 
 def terminal_cellset(bound):
-    from .sset import standard_simplex
-
     return FromSimplicial(standard_simplex(0), bound)
 
 

@@ -423,7 +423,6 @@ def build_parser():
     )
     sp.add_argument("--shape")
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--i", type=int)
     sp.add_argument("--shuffle")
     sp.add_argument("--set", action="append", help="hyperface label (repeatable)")
     sp.add_argument("--bound", type=int, default=4)

@@ -463,9 +463,7 @@ def _jointly_monic_families(p, qs):
     Equivalently the strictly increasing (p+1)-chains in the product
     poset; enumerated directly so large shapes stay tractable.
     """
-    import itertools as it
-
-    points = list(it.product(*(range(q + 1) for q in qs)))
+    points = list(itertools.product(*(range(q + 1) for q in qs)))
     out = []
     chain = []
 

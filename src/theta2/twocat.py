@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 
 from .cellset import Cell, TruncatedCellularSet
-from .theta import ThetaError
+from .delta import SimplicialOperator
+from .theta import CellularOperator, ThetaError
 
 
 class Finite2Category:
@@ -316,9 +317,6 @@ def free_nerve_cell_to_operator(target_shape, cell):
     The object chain is the horizontal part; the hom chains record each
     component's values through the product-poset coordinates.
     """
-    from .delta import SimplicialOperator
-    from .theta import CellularOperator
-
     objs, paths = cell.payload
     alpha = SimplicialOperator(objs, target_shape.n)
     comps = []

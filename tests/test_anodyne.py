@@ -435,6 +435,54 @@ def test_replay_report_schema():
     json.dumps(rep)
 
 
+# sha256 of each report's sorted-key JSON; a change to any step's order,
+# label, horn metadata, margin flags, notes or verdict changes the digest
+GOLDEN_REPORTS = {
+    "spine": "42f9f02c6ad06c9f1ab2fec499135171091671fe1deb24c17fb5952374aceece",
+    "sigma": "884fc8e949963a506b0f0ffc3d304640e06af66cc7499b5b70f87051f8063be9",
+    "upsilon-vertical": "5a2c44f0c5175bdaeaf7af2cbe5db66c3e14ec5ff04ea8d10255eb3d95ba1a89",
+    "upsilon-full": "9a4eecc14a44a5730ea126eed517dc070dc89388181cd89316435fbd62896517",
+    "oury-vertical": "096c98df7adca5aad4beb58658207bb5e0d5520c77feddd4de83d80a2e1a3b47",
+    "oury-horizontal": "d83d0c000ab5a451c29c7d3b417dde4fdbc2ac7f72d18cb7138444c355d6f8f3",
+    "alt-trivial": "e9c352732528e4f095adf10ada5fbedbecbb2056d8157b420949c43a2b62ad71",
+    "vert-equiv": "bc615d28ac0ae97f0372031d5e40c5ffdb55e4bacf9a4ba1eb538f76432aa61d",
+    "horiz-equiv": "048e4754fafc1983ae491fbcc1f4874d0cb3fd5954ec2148af20d03931434e73",
+}
+
+
+def _golden_script(name):
+    lo, hi = shuffles(1, 1)
+    if name == "spine":
+        return spine_anodyne(shape(1, 1, 0))
+    if name == "sigma":
+        return sigma_s(shape(1, 1), outer_hyperface_order(shape(1, 1)))
+    if name == "upsilon-vertical":
+        return upsilon_vertical(shape(3,), {V(1, 2)})
+    if name == "upsilon-full":
+        sets = enumerate_admissible_sets(shape(1, 2))
+        return upsilon_full(shape(1, 2), next(l for l in sets if len(l) == 3 and V(2, 1) in l))
+    if name == "oury-vertical":
+        return oury_from_alt(shape(3,), {V(1, 1), V(1, 2)})
+    if name == "oury-horizontal":
+        return oury_from_alt(shape(1, 1), {H(1, lo), H(1, hi)})
+    if name == "alt-trivial":
+        return alt_trivial(shape(1, 1), 1, lo, {lo})
+    if name == "vert-equiv":
+        return vert_equiv(shape(0, 1), 1, 4)
+    return horiz_equiv(shape(1,), 3)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_replay_report_golden(name):
+    import hashlib
+    import json
+
+    rep = replay(_golden_script(name))
+    assert rep["ok"]
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == GOLDEN_REPORTS[name]
+
+
 def test_replay_deterministic():
     import json
 

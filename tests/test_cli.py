@@ -184,6 +184,14 @@ def test_cli_bad_script_params_exit_2():
     assert code == 2
 
 
+def test_cli_verify_rejects_i_option(capsys):
+    # no replay script takes a vertical horn index
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "spine-anodyne", "--shape", "[1;1]", "--i", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --i" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [

@@ -24,3 +24,25 @@ def test_no_unused_top_level_imports():
     assert modules
     unused = {str(p.relative_to(PACKAGE)): _unused_imports(p) for p in modules}
     assert {m: names for m, names in unused.items() if names} == {}
+
+
+def _function_local_imports(path):
+    tree = ast.parse(path.read_text())
+    lines = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines.update(
+                node.lineno
+                for node in ast.walk(fn)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+            )
+    return sorted(lines)
+
+
+def test_no_function_local_imports():
+    # every import sits at the top of its module, where a reader looks for it
+    found = {
+        str(p.relative_to(PACKAGE)): _function_local_imports(p)
+        for p in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert {m: lines for m, lines in found.items() if lines} == {}
