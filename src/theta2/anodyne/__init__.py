@@ -1,5 +1,5 @@
 from .gluing import GluingStep, verify_gluing_square
-from .admissible import AdmissibleSet, enumerate_admissible_sets, is_admissible
+from .admissible import enumerate_admissible_sets, is_admissible
 from .claims import pullback_hyperface, run_claims_suite
 from .scripts import (
     Fork,
@@ -17,7 +17,6 @@ from .scripts import (
 from .lifting import compare_generating_sets, lift_check
 
 __all__ = [
-    "AdmissibleSet",
     "Fork",
     "GluingStep",
     "ReplayScript",

@@ -8,7 +8,6 @@ proper nonempty shuffle slice, and that slice downward closed.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from ..delta import shuffle_leq, shuffles
 from ..theta import HyperfaceLabel, ThetaError, inner_hyperface_labels
@@ -47,21 +46,6 @@ def is_admissible(shape, labels):
         if not is_downward_closed(sl, shape.q(k_s), shape.q(k_s + 1)):
             return False, k_s
     return True, k_s
-
-
-@dataclass(frozen=True)
-class AdmissibleSet:
-    shape: object
-    labels: frozenset
-
-    def __post_init__(self):
-        ok, _ = is_admissible(self.shape, self.labels)
-        if not ok:
-            raise ThetaError(f"set is not admissible for {self.shape}")
-
-    @property
-    def k_s(self):
-        return is_admissible(self.shape, self.labels)[1]
 
 
 def enumerate_admissible_sets(shape, vertical_only=False):

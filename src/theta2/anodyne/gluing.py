@@ -33,14 +33,11 @@ class GluingStep:
     map_fn: Optional[Callable] = None
     horn: Optional[dict] = None
     label: str = ""
-    # restrict the pullback comparison to shapes of dimension <= this;
-    # margin levels above a truncation bound are not certified material
-    compare_dim: Optional[int] = None
-    # attachments at the truncation bound are executed but not certified:
-    # their attachment loci may miss cells whose parents exceed the bound
-    tail: bool = False
-    # margin attachments above the bound are pure coverage, never checked
-    verify: bool = True
+    # the truncation bound.  A cell at the bound is glued but not certified:
+    # its attachment locus may miss cells whose parents exceed the bound.  A
+    # cell above it is a margin attachment, pure coverage and never checked.
+    # A map step compares its pullback only on shapes of dimension <= bound.
+    bound: Optional[int] = None
 
     def __post_init__(self):
         if (self.cell is None) == (self.source is None):
@@ -104,13 +101,12 @@ def verify_gluing_square(step):
 
     images = None if step.cell is not None else _map_images(step)
     w = _source_pullback(step, images)
-    if step.compare_dim is None:
+    compare_dim = step.bound if step.cell is None else None
+    if compare_dim is None:
         report["checks"]["pullback"] = w.same_cells(step.expected_w)
     else:
-        report["checks"]["pullback"] = w.equals_up_to(
-            step.expected_w, step.compare_dim
-        )
-        report["compare_dim"] = step.compare_dim
+        report["checks"]["pullback"] = w.equals_up_to(step.expected_w, compare_dim)
+        report["compare_dim"] = compare_dim
 
     outside = _outside_images(step, images)
     injective = True
@@ -141,9 +137,9 @@ def verify_gluing_square(step):
     after = step.before.union(image_subobject(step, images))
     added = {Cell(s, c) for s, v in after.nd.items() for c in v - step.before.nd_at(s)}
     attached = {img for _, img in outside}
-    if step.compare_dim is not None:
-        added = {c for c in added if c.shape.dim <= step.compare_dim}
-        attached = {c for c in attached if c.shape.dim <= step.compare_dim}
+    if compare_dim is not None:
+        added = {c for c in added if c.shape.dim <= compare_dim}
+        attached = {c for c in attached if c.shape.dim <= compare_dim}
     report["checks"]["cover"] = added == attached
     report["new_nd"] = after.nd_count() - step.before.nd_count()
 

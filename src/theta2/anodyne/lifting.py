@@ -50,7 +50,7 @@ def subobject_maps(dom, target):
     return nd_cells, maps
 
 
-def find_filler(dom, shape, assignment, target):
+def find_filler(shape, assignment, target):
     """A cell of target at the horn's shape restricting to the assignment."""
     for cand in target.cells(shape):
         cand_cell = Cell(shape, cand)
@@ -90,7 +90,7 @@ def lift_check(target, family, bound):
         filled = 0
         missing = []
         for assignment in maps:
-            z = find_filler(inc.domain, shape, assignment, target)
+            z = find_filler(shape, assignment, target)
             if z is not None:
                 filled += 1
             else:

@@ -9,6 +9,7 @@ final union against the target up to the certified dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Callable, Optional
 
 from ..boxprod import (
@@ -107,7 +108,11 @@ def _run_steps(ambient, y, steps, out_steps):
                 return False, y
             continue
         step = replace(step, ambient=ambient, before=y)
-        if not step.verify:
+        # how far a cell step's dimension exceeds its truncation bound
+        excess = -1
+        if step.cell is not None and step.bound is not None:
+            excess = step.cell.shape.dim - step.bound
+        if excess > 0:
             y = y.union(image_subobject(step))
             out_steps.append(
                 {"index": idx, "label": step.label, "margin_only": True}
@@ -115,10 +120,11 @@ def _run_steps(ambient, y, steps, out_steps):
             continue
         report, y = verify_gluing_square(step)
         report["index"] = idx
-        if step.tail:
+        tail = excess == 0
+        if tail:
             report["uncertified_tail"] = True
         out_steps.append(report)
-        if not step.tail and not report["ok"]:
+        if not tail and not report["ok"]:
             report["aborted"] = True
             return False, y
     return True, y
@@ -191,8 +197,9 @@ def _horn_step(label, cell, k, i=None, shf=None, bound=None):
 
     The horn is vertical at ``(k; i)`` when ``i`` is given, the alternative
     horizontal horn at ``(k; shf)`` when ``shf`` is given, and the k-th
-    horizontal horn otherwise.  With ``bound`` set, a cell at the bound is an
-    uncertified tail and a cell above it is a margin attachment.
+    horizontal horn otherwise.  ``bound`` is the step's truncation bound: the
+    runner glues a cell at the bound as an uncertified tail and a cell above
+    it as a margin attachment.
     """
     shape = cell.shape
     meta = {"family": "horn-h", "shape": str(shape), "k": k}
@@ -204,26 +211,35 @@ def _horn_step(label, cell, k, i=None, shf=None, bound=None):
         meta["shuffle"] = str(shf)
     else:
         horn = horn_h(shape, k)
-    margin = {}
-    if bound is not None:
-        margin = {"tail": shape.dim >= bound, "verify": shape.dim <= bound}
     return GluingStep(
-        label=label, cell=cell, expected_w=horn.domain, horn=meta, **margin
+        label=label, cell=cell, expected_w=horn.domain, horn=meta, bound=bound
     )
 
 
-def _horn_stage(ambient, stage, attach, horn_of, bound, key=None):
-    """One horn step per nondegenerate cell whose payload ``attach`` selects.
+def _horn_stage(ambient, stage, stage_of, bound, key=None):
+    """One horn step per nondegenerate cell that ``stage_of`` glues at ``stage``.
 
-    Cells are glued in ``key`` order (dimension, shape, payload by default);
-    ``horn_of(cell)`` gives the ``_horn_step`` horn index, ``(k,)`` or ``(k, i)``.
+    ``stage_of(payload)`` is a script's stage classifier: the first stage
+    that holds the cell, and the ``_horn_step`` horn index, ``(k,)`` or
+    ``(k, i)``, of a cell glued at that stage (None otherwise).  Cells are
+    glued in ``key`` order (dimension, shape, payload by default).
     """
+
+    def glued(cell):
+        at, horn = stage_of(cell.payload)
+        return at == stage and horn is not None
+
     cells = sorted(
-        Subobject.where(ambient, lambda c: attach(c.payload)).iter_nd(),
+        Subobject.where(ambient, glued).iter_nd(),
         key=key or (lambda cell: (cell.shape.dim, cell.shape, cell.payload)),
     )
     return [
-        _horn_step(f"stage {stage} glue {cell.payload}", cell, *horn_of(cell), bound=bound)
+        _horn_step(
+            f"stage {stage} glue {cell.payload}",
+            cell,
+            *stage_of(cell.payload)[1],
+            bound=bound,
+        )
         for cell in cells
     ]
 
@@ -755,98 +771,67 @@ def vert_equiv(shape, k, bound):
         )
     ]
 
-    def stage0_pred(payload):
-        return theta_corner_contains(payload, k) or set(payload[0]) <= {k - 1, k}
+    def stage4_horn(payload):
+        # the horn (k; j) of a cell the psi fork glues, or None; the fork
+        # glues horns only when hom k+1 has positive dimension
+        x = payload[0]
+        if x != delta_vals or shape.q(k + 1) == 0:
+            return None
+        ak = slot_component(payload, k)
+        ak1 = slot_component(payload, k + 1)
+        if ak is None or FILLED not in ak:
+            return None
+        if not _surjective_comp(ak1, shape.q(k + 1)):
+            return None
+        for slot in range(x[0] + 1, x[-1] + 1):
+            if slot in (k, k + 1):
+                continue
+            if slot_component(payload, slot) != tuple(range(shape.q(slot) + 1)):
+                return None
+        pairs = tuple(zip(ak, ak1))
+        if any(pairs[i] == pairs[i + 1] for i in range(len(pairs) - 1)):
+            return None
+        i_a = ak1[max(j for j, v in enumerate(ak) if v == FILLED)]
+        if i_a >= 1:
+            j_a = min(j for j, v in enumerate(ak1) if v == i_a)
+        else:
+            j_a = max(j for j, v in enumerate(ak1) if v == 0)
+        return (k, j_a) if ak[j_a] == DIAMOND else None
+
+    @cache
+    def stage_of(payload):
+        # stages 0-3 are disjoint; stage 4, the psi fork, takes the rest
+        x = payload[0]
+        if theta_corner_contains(payload, k) or set(x) <= {k - 1, k}:
+            return 0, None
+        if x[0] < k - 1 and x[-1] == k:
+            return 1, ((len(x) - 2,) if x[-2] == k - 1 else None)
+        if x[0] <= k - 1 and x[-1] > k and x not in (id_vals, delta_vals):
+            i = next((i for i in range(1, len(x) - 1) if x[i] == k), None)
+            return 2, (None if i is None else (i,))
+        if x in (id_vals, delta_vals) and any(
+            not _surjective_comp(slot_component(payload, slot), shape.q(slot))
+            for slot in range(x[0] + 1, x[-1] + 1)
+            if slot != k
+        ):
+            return 3, ((k,) if x == id_vals else None)
+        return 4, stage4_horn(payload)
 
     def x0_check(y):
-        want = Subobject.where(phi, lambda c: stage0_pred(c.payload))
+        want = Subobject.where(phi, lambda c: stage_of(c.payload)[0] == 0)
         return y.same_cells(want), "stage 0 equals corner plus edge image"
 
     steps.append(StageCheck("stage 0 content", x0_check))
-
-    def stage1_pred(payload):
-        x = payload[0]
-        return x[0] < k - 1 and x[-1] == k and not theta_corner_contains(payload, k)
-
-    def stage1_attach(payload):
-        x = payload[0]
-        return stage1_pred(payload) and len(x) >= 2 and x[-2] == k - 1
-
-    steps += _horn_stage(phi, 1, stage1_attach, lambda cell: (cell.shape.n - 1,), bound)
-    preds = [stage0_pred, stage1_pred]
-    steps.append(_stage_check(phi, "stage 1 content", preds, bound))
-
-    def stage2_pred(payload):
-        x = payload[0]
-        if not (x[0] <= k - 1 and x[-1] > k and not theta_corner_contains(payload, k)):
-            return False
-        return x != id_vals and x != delta_vals
-
-    def stage2_attach(payload):
-        x = payload[0]
-        return stage2_pred(payload) and any(v == k for v in x[1:-1])
-
-    def stage2_horn(cell):
-        x = cell.payload[0]
-        return (next(i for i in range(1, len(x) - 1) if x[i] == k),)
-
-    steps += _horn_stage(phi, 2, stage2_attach, stage2_horn, bound)
-    preds = preds + [stage2_pred]
-    steps.append(_stage_check(phi, "stage 2 content", preds, bound))
-
-    def stage3_pred(payload):
-        x = payload[0]
-        if x not in (id_vals, delta_vals) or theta_corner_contains(payload, k):
-            return False
-        for slot in range(x[0] + 1, x[-1] + 1):
-            if slot == k:
-                continue
-            if not _surjective_comp(slot_component(payload, slot), shape.q(slot)):
-                return True
-        return False
-
-    def stage3_attach(payload):
-        return stage3_pred(payload) and payload[0] == id_vals
-
-    steps += _horn_stage(phi, 3, stage3_attach, lambda cell: (k,), bound)
-    preds = preds + [stage3_pred]
-    steps.append(_stage_check(phi, "stage 3 content", preds, bound))
+    for stage in (1, 2, 3):
+        steps += _horn_stage(phi, stage, stage_of, bound)
+        label = f"stage {stage} content"
+        steps.append(_stage_check(phi, label, stage_of, stage, bound))
 
     if shape.q(k + 1) >= 1:
-        def stage4_data(payload):
-            x = payload[0]
-            if x != delta_vals:
-                return None
-            ak = slot_component(payload, k)
-            ak1 = slot_component(payload, k + 1)
-            if ak is None or FILLED not in ak:
-                return None
-            if not _surjective_comp(ak1, shape.q(k + 1)):
-                return None
-            for slot in range(x[0] + 1, x[-1] + 1):
-                if slot in (k, k + 1):
-                    continue
-                if slot_component(payload, slot) != tuple(range(shape.q(slot) + 1)):
-                    return None
-            pairs = tuple(zip(ak, ak1))
-            if any(pairs[i] == pairs[i + 1] for i in range(len(pairs) - 1)):
-                return None
-            i_a = ak1[max(j for j, v in enumerate(ak) if v == FILLED)]
-            if i_a >= 1:
-                j_a = min(j for j, v in enumerate(ak1) if v == i_a)
-            else:
-                j_a = max(j for j, v in enumerate(ak1) if v == 0)
-            return i_a, j_a
-
-        def stage4_attach(payload):
-            data = stage4_data(payload)
-            return data is not None and slot_component(payload, k)[data[1]] == DIAMOND
-
         psi_fork_steps = _horn_stage(
             phi,
             4,
-            stage4_attach,
-            lambda cell: (k, stage4_data(cell.payload)[1]),
+            stage_of,
             bound,
             key=lambda cell: (
                 cell.shape.dim,
@@ -880,7 +865,7 @@ def vert_equiv(shape, k, bound):
                 source=sub_phi,
                 map_fn=face_map,
                 expected_w=sub_psi,
-                compare_dim=bound,
+                bound=bound,
             )
         ]
 
@@ -901,17 +886,17 @@ def vert_equiv(shape, k, bound):
     )
 
 
-def _stage_check(ambient, label, preds, bound):
+def _stage_check(ambient, label, stage_of, stage, bound):
     """Soundness check for a stage: nothing outside the stages was attached.
 
-    ``preds`` holds one payload predicate per stage so far.  Full stage
-    content is only reachable through parents of unbounded dimension, so
-    coverage is reported as the largest certified level rather than
-    asserted at the truncation bound.
+    The stages so far hold the cells whose ``stage_of`` stage is at most
+    ``stage``.  Full stage content is only reachable through parents of
+    unbounded dimension, so coverage is reported as the largest certified
+    level rather than asserted at the truncation bound.
     """
 
     def check(y):
-        gens = Subobject.where(ambient, lambda c: any(p(c.payload) for p in preds))
+        gens = Subobject.where(ambient, lambda c: stage_of(c.payload)[0] <= stage)
         want = Subobject.generated(ambient, gens.iter_nd())
         sound = y.issubset(want)
         covered = -1
@@ -936,35 +921,26 @@ def horiz_equiv(shape, bound):
     amb = inc.codomain
     n = shape.n
 
-    def has_top_filled(payload):
+    @cache
+    def stage_of(payload):
+        # stage 0 is the domain; a cell outside it is at stage 2 when a
+        # filled interval vertex lies over the object n, else at stage 1.
+        # Stage 1 glues along the horn just after the last filled vertex,
+        # stage 2 along the horn at the first vertex over n.
         u, f = payload
-        return any(
-            u[v] == FILLED and f.horizontal.values[v] == n for v in range(len(u))
-        )
-
-    def in_x(payload):
-        return inc.domain.contains(Cell(payload[1].src, payload))
-
-    def k_phi_one(payload):
-        u, _ = payload
-        return 1 + max(v for v in range(len(u)) if u[v] == FILLED)
-
-    def stage1_pred(payload):
-        return not in_x(payload) and not has_top_filled(payload)
-
-    def stage1_attach(payload):
-        if not stage1_pred(payload):
-            return False
-        u, f = payload
-        kp = k_phi_one(payload)
         vals = f.horizontal.values
-        return vals[kp] == vals[kp - 1]
+        if inc.domain.contains(Cell(f.src, payload)):
+            return 0, None
+        if not any(u[v] == FILLED and vals[v] == n for v in range(len(u))):
+            cut = 1 + max(v for v in range(len(u)) if u[v] == FILLED)
+            return 1, ((cut,) if vals[cut] == vals[cut - 1] else None)
+        cut = vals.index(n)
+        return 2, ((cut,) if u[cut] == DIAMOND else None)
 
     steps = _horn_stage(
         amb,
         1,
-        stage1_attach,
-        lambda cell: (k_phi_one(cell.payload),),
+        stage_of,
         bound,
         key=lambda cell: (
             cell.shape.dim,
@@ -972,22 +948,8 @@ def horiz_equiv(shape, bound):
             cell.payload,
         ),
     )
-    steps.append(_stage_check(amb, "stage 1 content", [in_x, stage1_pred], bound))
-
-    def k_phi_two(payload):
-        _, f = payload
-        vals = f.horizontal.values
-        return min(v for v in range(len(vals)) if vals[v] == n)
-
-    def stage2_attach(payload):
-        if in_x(payload) or not has_top_filled(payload):
-            return False
-        u, _ = payload
-        return u[k_phi_two(payload)] == DIAMOND
-
-    steps += _horn_stage(
-        amb, 2, stage2_attach, lambda cell: (k_phi_two(cell.payload),), bound
-    )
+    steps.append(_stage_check(amb, "stage 1 content", stage_of, 1, bound))
+    steps += _horn_stage(amb, 2, stage_of, bound)
     return ReplayScript(
         name="horiz_equiv",
         params={"shape": str(shape), "bound": bound},

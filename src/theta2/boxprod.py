@@ -11,7 +11,7 @@ of j.  Operators act by reindexing the base and restricting components.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .cellset import (
@@ -128,18 +128,14 @@ def operator_to_box_cell(f):
 
 @dataclass(frozen=True)
 class Inclusion:
-    """A cellular subset inclusion with bookkeeping for reports."""
+    """A cellular subset inclusion with the name its reports print."""
 
     domain: Subobject
     name: str = "inclusion"
-    meta: dict = field(default_factory=dict, compare=False)
 
     @property
     def codomain(self):
         return self.domain.ambient
-
-    def is_identity(self):
-        return self.domain.is_full()
 
 
 def leibniz_box(n, base_pair, fiber_pairs, bound):
@@ -169,9 +165,7 @@ def leibniz_box(n, base_pair, fiber_pairs, bound):
                 return True
         return False
 
-    return Inclusion(
-        Subobject.where(codomain, in_domain), name="leibniz-box", meta={"bound": bound}
-    )
+    return Inclusion(Subobject.where(codomain, in_domain), name="leibniz-box")
 
 
 def boundary_leibniz(shape, bound=None):
@@ -181,7 +175,7 @@ def boundary_leibniz(shape, bound=None):
     inc = leibniz_box(
         shape.n, (boundary_sset(shape.n), standard_simplex(shape.n)), pairs, bound
     )
-    return Inclusion(inc.domain, name=f"leibniz-boundary{shape}", meta=inc.meta)
+    return Inclusion(inc.domain, name=f"leibniz-boundary{shape}")
 
 
 def horn_h_leibniz(shape, k, bound=None):
@@ -193,7 +187,7 @@ def horn_h_leibniz(shape, k, bound=None):
     inc = leibniz_box(
         shape.n, (horn_sset(shape.n, k), standard_simplex(shape.n)), pairs, bound
     )
-    return Inclusion(inc.domain, name=f"leibniz-horn-h^{k}{shape}", meta=inc.meta)
+    return Inclusion(inc.domain, name=f"leibniz-horn-h^{k}{shape}")
 
 
 def horn_v_leibniz(shape, k, i, bound=None):
@@ -210,7 +204,7 @@ def horn_v_leibniz(shape, k, i, bound=None):
     inc = leibniz_box(
         shape.n, (boundary_sset(shape.n), standard_simplex(shape.n)), pairs, bound
     )
-    return Inclusion(inc.domain, name=f"leibniz-horn-v^{{{k};{i}}}{shape}", meta=inc.meta)
+    return Inclusion(inc.domain, name=f"leibniz-horn-v^{{{k};{i}}}{shape}")
 
 
 # -- named subobjects of representables --------------------------------------
@@ -244,11 +238,7 @@ def horn_h(shape, k):
             or (lbl.variant == HyperfaceLabel.HN and k == shape.n)
         )
     ]
-    return Inclusion(
-        face_closure(shape, keep),
-        name=f"horn-h^{k}{shape}",
-        meta={"inner": 1 <= k <= shape.n - 1, "k": k},
-    )
+    return Inclusion(face_closure(shape, keep), name=f"horn-h^{k}{shape}")
 
 
 @lru_cache(maxsize=None)
@@ -258,11 +248,7 @@ def horn_v(shape, k, i):
         raise ThetaError(f"vertical horn ({k};{i}) out of range for {shape}")
     skip = HyperfaceLabel(HyperfaceLabel.V, k=k, i=i)
     keep = [op for lbl, op in hyperfaces(shape) if lbl != skip]
-    return Inclusion(
-        face_closure(shape, keep),
-        name=f"horn-v^{{{k};{i}}}{shape}",
-        meta={"inner": 1 <= i <= shape.q(k) - 1, "k": k, "i": i},
-    )
+    return Inclusion(face_closure(shape, keep), name=f"horn-v^{{{k};{i}}}{shape}")
 
 
 @lru_cache(maxsize=None)
@@ -272,11 +258,7 @@ def horn_h_alt(shape, k, shf):
     if skip not in {lbl for lbl, _ in hyperfaces(shape)}:
         raise ThetaError(f"{skip} is not a hyperface of {shape}")
     keep = [op for lbl, op in hyperfaces(shape) if lbl != skip]
-    return Inclusion(
-        face_closure(shape, keep),
-        name=f"horn-h-alt^{{{k};{shf}}}{shape}",
-        meta={"k": k, "shuffle": str(shf)},
-    )
+    return Inclusion(face_closure(shape, keep), name=f"horn-h-alt^{{{k};{shf}}}{shape}")
 
 
 @lru_cache(maxsize=None)
@@ -356,9 +338,7 @@ def equiv_vert(shape, k, bound):
     """The vertical equivalence extension (Psi^k, Phi^k, inclusion)."""
     phi = vertical_extension_ambient(shape, k, bound)
     psi = Subobject.where(phi, lambda c: psi_contains(c.payload, shape, k))
-    return psi, phi, Inclusion(
-        psi, name=f"equiv-v^{k}{shape}", meta={"bound": bound, "k": k}
-    )
+    return psi, phi, Inclusion(psi, name=f"equiv-v^{k}{shape}")
 
 
 def theta_corner(phi, shape, k):
@@ -382,6 +362,4 @@ def equiv_horiz(shape, bound):
             return True
         return bd.contains(Cell(f.src, f))
 
-    return Inclusion(
-        Subobject.where(amb, in_domain), name=f"equiv-h{shape}", meta={"bound": bound}
-    )
+    return Inclusion(Subobject.where(amb, in_domain), name=f"equiv-h{shape}")

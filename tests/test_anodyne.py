@@ -446,6 +446,7 @@ GOLDEN_REPORTS = {
     "oury-horizontal": "d83d0c000ab5a451c29c7d3b417dde4fdbc2ac7f72d18cb7138444c355d6f8f3",
     "alt-trivial": "e9c352732528e4f095adf10ada5fbedbecbb2056d8157b420949c43a2b62ad71",
     "vert-equiv": "bc615d28ac0ae97f0372031d5e40c5ffdb55e4bacf9a4ba1eb538f76432aa61d",
+    "vert-equiv-face-map": "8c597f8167e13aef65424931e220a649719254c7f9bbe6584c346cc4c507ea4c",
     "horiz-equiv": "048e4754fafc1983ae491fbcc1f4874d0cb3fd5954ec2148af20d03931434e73",
 }
 
@@ -469,6 +470,9 @@ def _golden_script(name):
         return alt_trivial(shape(1, 1), 1, lo, {lo})
     if name == "vert-equiv":
         return vert_equiv(shape(0, 1), 1, 4)
+    if name == "vert-equiv-face-map":
+        # the psi fork attaches the lower extension by a map with a bound
+        return vert_equiv(shape(0, 0), 1, 4)
     return horiz_equiv(shape(1,), 3)
 
 
@@ -512,6 +516,31 @@ def test_replay_detects_missing_step():
     rep = replay(script)
     assert not rep["ok"]
     assert not rep["final"]["equals_target"]
+
+
+@pytest.mark.parametrize(
+    "build, later, check",
+    [
+        (lambda: vert_equiv(shape(0, 1), 1, 4), "stage 3 glue", "stage 2 content"),
+        (lambda: vert_equiv(shape(0, 0, 0), 2, 4), "stage 2 glue", "stage 1 content"),
+        (lambda: horiz_equiv(shape(1,), 3), "stage 2 glue", "stage 1 content"),
+    ],
+    ids=["vert-[2;0,1]", "vert-[3;0,0,0]", "horiz-[1;1]"],
+)
+def test_replay_stage_check_fails_on_early_step(build, later, check):
+    # glue a later stage's first cell before an earlier stage's content
+    # check: the check must fail by name and abort the replay
+    script = build()
+    steps = script.steps
+    at = next(i for i, st in enumerate(steps) if st.label == check)
+    moved = next(i for i, st in enumerate(steps) if st.label.startswith(later))
+    steps.insert(at, steps.pop(moved))
+    rep = replay(script)
+    assert not rep["ok"]
+    last = rep["steps"][-1]
+    assert last["label"] == check
+    assert last["checks"] == {"stage": False}
+    assert last["aborted"]
 
 
 # -- lifting -------------------------------------------------------------------
