@@ -48,6 +48,7 @@ from ..theta import (
     hyperface_operator,
     identity_cellular,
     inner_hyperface_labels,
+    interval_index,
     is_mono_vertebral,
     op_dual_shape,
     outer_hyperface_order,
@@ -140,11 +141,6 @@ def replay(script):
         "steps": [],
         "notes": list(script.notes),
     }
-    if script.trivial and not script.steps and not script.forks:
-        report["final"] = {"equals_target": True, "certified_dim": script.certified_dim}
-        report["ok"] = True
-        return report
-
     ok, y = _run_steps(script.ambient, script.initial, script.steps, report["steps"])
 
     if script.forks:
@@ -848,11 +844,8 @@ def vert_equiv(shape, k, bound):
             nx = tuple(v if v < k else v + 1 for v in x)
             ncomps = []
             for j in range(nx[0] + 1, nx[-1] + 1):
-                i = next(
-                    i for i in range(1, len(nx)) if nx[i - 1] < j <= nx[i]
-                )
                 if j == k + 1:
-                    ncomps.append((0,) * (cell.shape.q(i) + 1))
+                    ncomps.append((0,) * (cell.shape.q(interval_index(nx, j)) + 1))
                 elif j <= k:
                     ncomps.append(comps[j - x[0] - 1])
                 else:

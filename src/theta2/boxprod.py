@@ -5,7 +5,8 @@ extensions built from the chaotic-nerve interval.
 A box cell at [m;p] is a pair (x, comps): x is an m-simplex of the base
 (a value tuple over [n]) and comps has one p_i-simplex of the fiber S_j
 for every covered index x(0) < j <= x(m), where i is the interval index
-of j.  Operators act by reindexing the base and restricting components.
+of j.  This is the cell data of ``theta``: operators act, and cells
+Reedy-factor, through its value kernels.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .cellset import (
     from_simplicial,
     representable,
 )
-from .delta import SimplicialOperator
 from .sset import (
     DIAMOND,
     FILLED,
@@ -32,21 +32,18 @@ from .sset import (
     standard_simplex,
 )
 from .theta import (
-    CellularOperator,
     HyperfaceLabel,
     ThetaError,
+    ThetaShape,
+    act_values,
     hyperface_operator,
     hyperfaces,
+    interval_index,
+    operator_from_values,
+    operator_values,
+    reedy_values,
     vertebrae,
 )
-
-
-def _interval_of(x, j):
-    # unique i with x[i-1] < j <= x[i]
-    for i in range(1, len(x)):
-        if x[i - 1] < j <= x[i]:
-            return i
-    raise ThetaError(f"index {j} not covered by base simplex {x}")
 
 
 class BoxCellSet(TruncatedCellularSet):
@@ -67,21 +64,26 @@ class BoxCellSet(TruncatedCellularSet):
         out = []
         for x in self.base.level(shape.n):
             covered = range(x[0] + 1, x[-1] + 1)
-            pools = [self.fiber(j).level(shape.q(_interval_of(x, j))) for j in covered]
+            pools = [self.fiber(j).level(shape.q(interval_index(x, j))) for j in covered]
             for comps in itertools.product(*pools):
                 out.append((x, comps))
         return out
 
     def _act(self, cell, op):
-        x, comps = cell.payload
-        beta = op.horizontal
-        nx = tuple(x[v] for v in beta.values)
-        ncomps = []
-        for j in range(nx[0] + 1, nx[-1] + 1):
-            l = _interval_of(x, j)
-            y = comps[j - x[0] - 1]
-            ncomps.append(self.fiber(j).act(y, op.component_at(l)))
-        return Cell(op.src, (nx, tuple(ncomps)))
+        return Cell(op.src, act_values(op, *cell.payload))
+
+    def nd_decompose(self, cell):
+        """The Reedy factorization read off the cell data, memoised."""
+        hit = self._nd_memo.get(cell)
+        if hit is None:
+            sigma, deg_comps, mid_qs, x, comps = reedy_values(*cell.payload)
+            mid = ThetaShape(mid_qs)
+            deg = operator_from_values(cell.shape, mid, sigma, deg_comps)
+            hit = self._nd_memo[cell] = (Cell(mid, (x, comps)), deg)
+        return hit
+
+    def is_nondegenerate(self, cell):
+        return reedy_values(*cell.payload)[2] == cell.shape.qs
 
     def __repr__(self):
         fibs = ",".join(f.name for f in self.fibers)
@@ -107,20 +109,12 @@ def box_representable(shape, bound=None):
 
 def box_cell_to_operator(box, cell, shape_codomain):
     """Transport a cell of box(id; Delta[q*]) to an operator into [n;q]."""
-    x, comps = cell.payload
-    alpha = SimplicialOperator(x, shape_codomain.n)
-    comp_ops = tuple(
-        SimplicialOperator(comps[j - x[0] - 1], shape_codomain.q(j))
-        for j in range(x[0] + 1, x[-1] + 1)
-    )
-    return CellularOperator(cell.shape, shape_codomain, alpha, comp_ops)
+    return operator_from_values(cell.shape, shape_codomain, *cell.payload)
 
 
 def operator_to_box_cell(f):
     """Inverse transport: an operator into [n;q] as a box cell payload."""
-    x = f.horizontal.values
-    comps = tuple(c.values for c in f.components)
-    return Cell(f.src, (x, comps))
+    return Cell(f.src, operator_values(f))
 
 
 # -- Leibniz construction ---------------------------------------------------
@@ -151,17 +145,14 @@ def leibniz_box(n, base_pair, fiber_pairs, bound):
     def in_domain(cell):
         # union of the non-terminal corners: the cell must restrict into at
         # least one small argument; an uncovered fiber slot restricts vacuously
-        x, comps = cell.payload
-        if sub_base.contains(x):
+        if sub_base.contains(cell.payload[0]):
             return True
         for j in range(1, n + 1):
             small = fiber_pairs[j - 1][0]
             if small is None:
                 continue
-            if x[0] < j <= x[-1]:
-                if small.contains(comps[j - x[0] - 1]):
-                    return True
-            else:
+            y = slot_component(cell.payload, j)
+            if y is None or small.contains(y):
                 return True
         return False
 

@@ -456,16 +456,13 @@ def payload_id(payload):
     return str(payload)
 
 
-def cellset_to_json(x, include_action=True):
+def cellset_to_json(x):
     doc = {"bound": x.bound, "shapes": [], "action": "representable"}
     for shape in x.shapes():
         doc["shapes"].append(
             {"shape": str(shape), "cells": [payload_id(c) for c in x.cells(shape)]}
         )
     if isinstance(x, Representable):
-        return doc
-    if not include_action:
-        doc["action"] = "omitted"
         return doc
     table = []
     for shape in x.shapes():

@@ -73,7 +73,7 @@ def cmd_shuffles(args):
         "shuffles": [str(s) for s in elems],
     }
     lines = [str(s) for s in elems]
-    if args.format == "dot" or args.dot:
+    if args.format == "dot":
         edges = []
         for s in elems:
             for t in shuffle_covers(s)[1]:
@@ -85,8 +85,6 @@ def cmd_shuffles(args):
             dot.append(f'  "{a}" -> "{b}";')
         dot.append("}")
         doc["dot"] = "\n".join(dot)
-        if args.dot and args.format == "text":
-            lines = [doc["dot"]]
     _emit(args, doc, lines)
     return 0
 
@@ -329,7 +327,6 @@ def _verify_all(args):
     doc = {
         "report_name": "verify-all",
         "max_dim": args.max_dim,
-        "bound": args.bound,
         "shapes": count,
         "failures": failures,
     }
@@ -348,7 +345,6 @@ def build_parser():
     sp = sub.add_parser("shuffles", help="enumerate the shuffle lattice")
     sp.add_argument("m", type=int)
     sp.add_argument("n", type=int)
-    sp.add_argument("--dot", action="store_true", help="emit the Hasse diagram")
     sp.set_defaults(fn=cmd_shuffles)
 
     sp = sub.add_parser("hyperfaces", help="list the codimension-1 faces")

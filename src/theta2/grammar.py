@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 
 from .delta import Shuffle, SimplicialOperator
-from .theta import CellularOperator, HyperfaceLabel, ThetaShape
+from .theta import CellularOperator, HyperfaceLabel, ThetaShape, interval_index
 
 
 class ParseError(ValueError):
@@ -116,9 +116,7 @@ def parse_cellular(text):
         for tok, k in zip(tokens, covered):
             tok = tok.strip()
             if tok == "!":
-                l = next(
-                    l for l in range(1, src.n + 1) if a[l - 1] < k <= a[l]
-                )
+                l = interval_index(a, k)
                 comps.append(SimplicialOperator([0] * (src.q(l) + 1), 0))
             else:
                 comps.append(SimplicialOperator(_parse_values(tok), dst.q(k)))

@@ -4,6 +4,12 @@ An object [n;q1,...,qn] is a shape; a morphism [alpha;alpha_k] carries a
 horizontal operator [m] -> [n] and one vertical component [p_l] -> [q_k]
 for each covered index alpha(0) < k <= alpha(m), where l is the unique
 index with alpha(l-1) < k <= alpha(l).
+
+The value kernels below work on the same data without operators: a cell
+at [m;p] is a pair (x, comps), where x is the value tuple of the
+horizontal part and comps holds one value tuple per covered index, in
+order.  Operators into a shape, box cells and free-nerve cells all use
+this convention, so acting, composing and Reedy-factoring are done once.
 """
 
 from __future__ import annotations
@@ -16,9 +22,7 @@ from .delta import (
     SimplicialOperator,
     all_monos,
     all_operators,
-    compose_simplicial,
     delta_op,
-    ez_factor_delta,
     identity,
     op_dual_simplicial,
     shuffles,
@@ -87,12 +91,64 @@ def shapes_upto(d):
     return tuple(sorted(out))
 
 
-def _interval_index(alpha, k):
-    # unique l with alpha(l-1) < k <= alpha(l); requires alpha(0) < k <= alpha(m)
-    for l in range(1, alpha.src + 1):
-        if alpha.values[l - 1] < k <= alpha.values[l]:
+def interval_index(values, k):
+    """The unique l with values[l-1] < k <= values[l] of a monotone value tuple."""
+    for l in range(1, len(values)):
+        if values[l - 1] < k <= values[l]:
             return l
-    raise ThetaError(f"index {k} not covered by horizontal part {alpha}")
+    raise ThetaError(f"index {k} not covered by {values}")
+
+
+def operator_values(f):
+    """The cell data (x, comps) of an operator."""
+    return f.horizontal.values, tuple([c.values for c in f.components])
+
+
+def operator_from_values(src, dst, x, comps):
+    """The operator src -> dst whose cell data is (x, comps)."""
+    parts = [SimplicialOperator(c, dst.qs[x[0] + j]) for j, c in enumerate(comps)]
+    return CellularOperator(src, dst, SimplicialOperator(x, dst.n), parts)
+
+
+def act_values(op, x, comps):
+    """The cell data (x, comps) restricted along the operator ``op``."""
+    beta = op.horizontal.values
+    nx = tuple([x[v] for v in beta])
+    ncomps = []
+    for j in range(nx[0] + 1, nx[-1] + 1):
+        y = comps[j - x[0] - 1]
+        c = op.components[interval_index(x, j) - beta[0] - 1].values
+        ncomps.append(tuple([y[v] for v in c]))
+    return nx, tuple(ncomps)
+
+
+def reedy_values(x, comps):
+    """Reedy factorization of the cell data (x, comps).
+
+    Returns (sigma, deg_comps, mid_qs, alpha, face_comps): the data of the
+    degeneracy onto [w; mid_qs] and of the nondegenerate cell there.
+    Runs of equal vertices, and runs of equal joint component tuples over
+    an interval, collapse; runs also factor non-monotone data like (0,1,0).
+    """
+    sigma, alpha = [], []
+    for v in x:
+        if not alpha or alpha[-1] != v:
+            alpha.append(v)
+        sigma.append(len(alpha) - 1)
+    deg_comps, mid_qs, face_comps = [], [], []
+    for l in range(1, len(x)):
+        family = comps[x[l - 1] - x[0] : x[l] - x[0]]
+        if not family:
+            continue  # the interval collapses horizontally
+        runs, deg = [], []
+        for t in zip(*family):
+            if not runs or runs[-1] != t:
+                runs.append(t)
+            deg.append(len(runs) - 1)
+        deg_comps.append(tuple(deg))
+        mid_qs.append(len(runs) - 1)
+        face_comps.extend(zip(*runs))
+    return tuple(sigma), tuple(deg_comps), tuple(mid_qs), tuple(alpha), tuple(face_comps)
 
 
 class CellularOperator:
@@ -118,7 +174,7 @@ class CellularOperator:
             )
         for j, k in enumerate(covered):
             comp = components[j]
-            l = _interval_index(horizontal, k)
+            l = interval_index(a, k)
             if comp.src != src.q(l) or comp.dst != dst.q(k):
                 raise ThetaError(
                     f"component at {k} must be [{src.q(l)}]->[{dst.q(k)}], got {comp}"
@@ -225,12 +281,8 @@ def compose_cellular(g, f):
     """The composite f ∘ g of g : [k;r] -> [m;p] followed by f : [m;p] -> [n;q]."""
     if g.dst != f.src:
         raise CompositionError(f"cannot compose {g} then {f}: endpoint mismatch")
-    horizontal = compose_simplicial(g.horizontal, f.horizontal)
-    comps = []
-    for k in range(horizontal.values[0] + 1, horizontal.values[-1] + 1):
-        l = _interval_index(f.horizontal, k)
-        comps.append(compose_simplicial(g.component_at(l), f.component_at(k)))
-    return CellularOperator(g.src, f.dst, horizontal, comps)
+    x, comps = act_values(g, *operator_values(f))
+    return operator_from_values(g.src, f.dst, x, comps)
 
 
 def classify_cellular(f):
@@ -446,11 +498,9 @@ def cellular_ops(src, dst):
     """All operators src -> dst, lexicographic on (horizontal, components)."""
     out = []
     for alpha in all_operators(src.n, dst.n):
-        covered = range(alpha.values[0] + 1, alpha.values[-1] + 1)
-        pools = []
-        for k in covered:
-            l = _interval_index(alpha, k)
-            pools.append(all_operators(src.q(l), dst.q(k)))
+        a = alpha.values
+        covered = range(a[0] + 1, a[-1] + 1)
+        pools = [all_operators(src.q(interval_index(a, k)), dst.q(k)) for k in covered]
         for comps in itertools.product(*pools):
             out.append(CellularOperator(src, dst, alpha, comps))
     out.sort()
@@ -571,37 +621,14 @@ def elementary_degeneracies(shape):
 def reedy_factor(f):
     """The unique (degeneracy, face) pair with f = face ∘ degeneracy.
 
-    The horizontal part uses the ordinal epi-mono split; each covered
-    interval of the face takes the joint image of the component family.
+    Both come from ``reedy_values`` on the operator's cell data.
     """
-    sigma, alpha = ez_factor_delta(f.horizontal)
-    w = sigma.dst
-    mid_qs = []
-    deg_comps = []
-    face_comps = {}
-    for v in range(1, w + 1):
-        # unique step where sigma climbs to v
-        l = next(l for l in range(1, f.src.n + 1) if sigma.values[l - 1] < v <= sigma.values[l])
-        ks = range(alpha.values[v - 1] + 1, alpha.values[v] + 1)
-        p = f.src.q(l)
-        tuples = [tuple(f.component_at(k).values[i] for k in ks) for i in range(p + 1)]
-        distinct = []
-        for t in tuples:
-            if not distinct or distinct[-1] != t:
-                distinct.append(t)
-        s_v = len(distinct) - 1
-        mid_qs.append(s_v)
-        rank = {t: r for r, t in enumerate(distinct)}
-        deg_comps.append(SimplicialOperator((rank[t] for t in tuples), s_v))
-        for pos, k in enumerate(ks):
-            face_comps[k] = SimplicialOperator((t[pos] for t in distinct), f.dst.q(k))
+    sigma, deg_comps, mid_qs, alpha, face_comps = reedy_values(*operator_values(f))
     mid = ThetaShape(mid_qs)
-    degeneracy = CellularOperator(f.src, mid, sigma, deg_comps)
-    a = alpha.values
-    face = CellularOperator(
-        mid, f.dst, alpha, tuple(face_comps[k] for k in range(a[0] + 1, a[-1] + 1))
+    return (
+        operator_from_values(f.src, mid, sigma, deg_comps),
+        operator_from_values(mid, f.dst, alpha, face_comps),
     )
-    return degeneracy, face
 
 
 def face_factors_through(f, g):
@@ -621,7 +648,7 @@ def face_factors_through(f, g):
     h_alpha = SimplicialOperator(h_alpha_vals, g.src.n)
     comps = []
     for j in range(h_alpha.values[0] + 1, h_alpha.values[-1] + 1):
-        i = _interval_index(h_alpha, j)
+        i = interval_index(h_alpha.values, j)
         ks = range(g.horizontal.values[j - 1] + 1, g.horizontal.values[j] + 1)
         r = f.src.q(i)
         s = g.src.q(j)

@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .cellset import Cell, TruncatedCellularSet
-from .delta import SimplicialOperator
-from .theta import CellularOperator, ThetaError
+from .theta import ThetaError, interval_index, operator_from_values
 
 
 class Finite2Category:
@@ -42,7 +41,13 @@ class Finite2Category:
         return sorted(t for t, (s, _) in self.two_cells.items() if s == f)
 
     def validate(self):
-        """Check the finite-table axioms; raises on the first failure."""
+        """Check the finite-table axioms; raises ThetaError on the first failure."""
+        try:
+            return self._check_axioms()
+        except KeyError as exc:
+            raise ThetaError(f"2-category has no table entry for {exc.args[0]!r}") from None
+
+    def _check_axioms(self):
         for x in self.objects:
             if self.id1[x] not in self.one_cells:
                 raise ThetaError(f"missing identity 1-cell at {x}")
@@ -318,20 +323,11 @@ def free_nerve_cell_to_operator(target_shape, cell):
     component's values through the product-poset coordinates.
     """
     objs, paths = cell.payload
-    alpha = SimplicialOperator(objs, target_shape.n)
     comps = []
-    for k in range(alpha.values[0] + 1, alpha.values[-1] + 1):
-        i = next(
-            i
-            for i in range(1, cell.shape.n + 1)
-            if alpha.values[i - 1] < k <= alpha.values[i]
-        )
-        fs, _ = paths[i - 1]
-        lo = alpha.values[i - 1]
-        comps.append(
-            SimplicialOperator([f[3][k - lo - 1] for f in fs], target_shape.q(k))
-        )
-    return CellularOperator(cell.shape, target_shape, alpha, tuple(comps))
+    for k in range(objs[0] + 1, objs[-1] + 1):
+        i = interval_index(objs, k)
+        comps.append(tuple([f[3][k - objs[i - 1] - 1] for f in paths[i - 1][0]]))
+    return operator_from_values(cell.shape, target_shape, objs, comps)
 
 
 # -- text format ----------------------------------------------------------
@@ -357,47 +353,55 @@ def parse_2cat_text(text):
     hcomp1 = {}
     vcomp = {}
     hcomp2 = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
-        if head == "objects":
-            objects.extend(rest.split())
-        elif head == "onecell":
-            name, arrow = rest.split(":", 1)
-            src, dst = arrow.split("->")
-            one_cells[name.strip()] = (src.strip(), dst.strip())
-        elif head == "twocell":
-            name, arrow = rest.split(":", 1)
-            src, dst = arrow.split("=>")
-            two_cells[name.strip()] = (src.strip(), dst.strip())
-        elif head == "id1":
-            obj, name = rest.split("=")
-            id1[obj.strip()] = name.strip()
-        elif head == "id2":
-            cell, name = rest.split("=")
-            id2[cell.strip()] = name.strip()
-        elif head in ("comp1", "vcomp", "comp2"):
-            lhs, result = rest.split("=")
-            sep = "." if head in ("comp1", "vcomp") else "*"
-            later, earlier = lhs.split(sep)
-            key = (later.strip(), earlier.strip())
-            if head == "comp1":
-                hcomp1[key] = result.strip()
-            elif head == "vcomp":
-                vcomp[key] = result.strip()
+        try:
+            if head == "objects":
+                objects.extend(rest.split())
+            elif head == "onecell":
+                name, arrow = rest.split(":", 1)
+                src, dst = arrow.split("->")
+                one_cells[name.strip()] = (src.strip(), dst.strip())
+            elif head == "twocell":
+                name, arrow = rest.split(":", 1)
+                src, dst = arrow.split("=>")
+                two_cells[name.strip()] = (src.strip(), dst.strip())
+            elif head == "id1":
+                obj, name = rest.split("=")
+                id1[obj.strip()] = name.strip()
+            elif head == "id2":
+                cell, name = rest.split("=")
+                id2[cell.strip()] = name.strip()
+            elif head in ("comp1", "vcomp", "comp2"):
+                lhs, result = rest.split("=")
+                sep = "." if head in ("comp1", "vcomp") else "*"
+                later, earlier = lhs.split(sep)
+                key = (later.strip(), earlier.strip())
+                if head == "comp1":
+                    hcomp1[key] = result.strip()
+                elif head == "vcomp":
+                    vcomp[key] = result.strip()
+                else:
+                    hcomp2[key] = result.strip()
             else:
-                hcomp2[key] = result.strip()
-        else:
-            raise ThetaError(f"unknown 2-category directive: {raw!r}")
+                raise ValueError(head)
+        except ValueError:
+            raise ThetaError(f"line {lineno}: cannot parse {line!r}") from None
     return Finite2Category(objects, one_cells, two_cells, id1, id2, hcomp1, vcomp, hcomp2)
 
 
 def parse_2cat_file(path):
-    with open(path) as fh:
-        return parse_2cat_text(fh.read())
+    try:
+        with open(path) as fh:
+            return parse_2cat_text(fh.read())
+    except OSError as exc:
+        raise ThetaError(f"cannot read 2-category file {path}: {exc.strerror}") from None
+    except ValueError as exc:  # a parse error, or bytes that are not text
+        raise ThetaError(f"{path}: {exc}") from None
 
 
 def format_2cat(cat):

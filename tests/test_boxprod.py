@@ -23,8 +23,9 @@ from theta2.boxprod import (
     spine_subobject,
     theta_corner,
     upsilon_subobject,
+    vertical_extension_ambient,
 )
-from theta2.cellset import Cell, Subobject, representable
+from theta2.cellset import Cell, Subobject, TruncatedCellularSet, representable
 from theta2.delta import SimplicialOperator, shuffles
 from theta2.sset import DIAMOND, FILLED, J, standard_simplex
 from theta2.theta import (
@@ -100,6 +101,40 @@ def test_suspension_of_interval():
     for p in range(4):
         nd = b.nd_cells(shape(p,))
         assert len(nd) == 2
+
+
+class TrialBox(BoxCellSet):
+    """The same box, decomposed by the generic trial-degeneracy search."""
+
+    nd_decompose = TruncatedCellularSet.nd_decompose
+    is_nondegenerate = TruncatedCellularSet.is_nondegenerate
+
+
+# the representable boxes, the interval-replay ambients, the interval edge
+# of the vertical extension, and the Leibniz boundary codomains
+KERNEL_BOXES = {
+    **{f"representable{s}": lambda s=s: box_representable(s, 6) for s in shapes_upto(4)},
+    **{
+        f"vertical{shape(*qs)}k{k}": lambda qs=qs, k=k: vertical_extension_ambient(
+            shape(*qs), k, 6
+        )
+        for qs, k in [((0,), 1), ((0, 0), 1), ((0, 0), 2), ((0, 1), 1), ((0, 2), 1)]
+    },
+    "interval-edge": lambda: BoxCellSet(1, standard_simplex(1), [J], 6),
+    **{f"leibniz{s}": lambda s=s: boundary_leibniz(s).codomain for s in shapes_upto(4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BOXES))
+def test_box_reedy_kernel_matches_trial_search(name):
+    box = KERNEL_BOXES[name]()
+    trial = TrialBox(box.n, box.base, box.fibers, box.bound)
+    for sh in box.shapes():
+        for payload in box.cells(sh):
+            cell = Cell(sh, payload)
+            want = TruncatedCellularSet.nd_decompose(trial, cell)
+            assert box.nd_decompose(cell) == want, (sh, payload)
+        assert box.nd_cells(sh) == trial.nd_cells(sh), sh
 
 
 @pytest.mark.parametrize("qs", [(0, 2), (1, 1), (2,), (0, 0, 0)])

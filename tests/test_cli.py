@@ -92,6 +92,23 @@ def test_cli_shuffles_count_and_dot():
     assert out.startswith("digraph") and out.count("->") == 6
 
 
+def test_cli_shuffles_rejects_dot_option(capsys):
+    # --format dot prints the Hasse diagram; there is no second spelling
+    with pytest.raises(SystemExit) as exc:
+        main(["shuffles", "2", "2", "--dot"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --dot" in capsys.readouterr().err
+
+
+def test_cli_verify_all_reports_no_bound():
+    # no replay that verify all runs takes a truncation bound
+    code, out = run_cli("--format", "json", "verify", "all", "--max-dim", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert "bound" not in doc
+    assert doc["shapes"] == 2 and doc["failures"] == []
+
+
 def test_cli_classify_json():
     code, out = run_cli(
         "--format", "json", "classify", "[{1,2};{0,1,2}]:[1;2]->[2;0,2]"
@@ -177,6 +194,27 @@ def test_cli_nerve_builtin_and_file(tmp_path):
     code, out = run_cli("nerve", str(path), "--bound", "2")
     assert code == 0
     assert "[1;0]: 4 cells" in out
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read 2-category file"),
+        ("onecell f a b\n", "line 1: cannot parse 'onecell f a b'"),
+        ("objects a\n", "no table entry for 'a'"),
+    ],
+    ids=["missing-file", "bad-line", "missing-entry"],
+)
+@pytest.mark.parametrize("command", ["nerve", "lift"])
+def test_cli_bad_2cat_file_exit_2(tmp_path, capsys, text, message, command):
+    path = tmp_path / "cat.2cat"
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path)] if command == "nerve" else ["--x", f"nerve:{path}"]
+    assert main([command, *argv, "--bound", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def test_cli_bad_script_params_exit_2():

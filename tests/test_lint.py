@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -84,3 +87,55 @@ def test_no_unreferenced_top_level_names():
             if node.name not in _names(n for n in tree.body if n is not node):
                 unreferenced.append(f"{path.relative_to(PACKAGE)}:{node.name}")
     assert unreferenced == []
+
+
+_TRACED_RUN = """
+import sys
+sys.path.insert(0, "perfbench")
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install([])
+from theta2.anodyne import lift_check, replay, vert_equiv
+from theta2.cellset import from_simplicial
+from theta2.sset import J
+from theta2.theta import ThetaShape
+
+assert replay(vert_equiv(ThetaShape((0, 1)), 1, 3))["ok"]
+assert lift_check(from_simplicial(J, 3), "inner", 3)["unfilled"] == 0
+for key, count in sorted(tracer.calls.items()):
+    print(key, count)
+"""
+
+# wrapped methods and functions that the traced run above must reach
+_TRACED_KEYS = (
+    "boxprod.BoxCellSet._act",
+    "boxprod.BoxCellSet._compute_cells",
+    "cellset.FromSimplicial._act",
+    "cellset.Subobject.generated",
+    "cellset.TruncatedCellularSet.act",
+    "cellset.TruncatedCellularSet.nd_cells",
+    "cellset.Representable.nd_decompose",
+    "sset.SimplicialSet.act",
+    "theta.compose_cellular",
+    "theta.reedy_factor",
+    "anodyne.gluing.verify_gluing_square",
+    "anodyne.lifting.find_filler",
+)
+
+
+def test_benchmark_tracer_installs_and_counts():
+    # the benchmark's tracer wraps methods by name: a rename in src/ must
+    # fail here, not only when the benchmark runs
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = dict(line.rsplit(" ", 1) for line in proc.stdout.splitlines())
+    assert {key: int(counts.get(key, 0)) > 0 for key in _TRACED_KEYS} == dict.fromkeys(
+        _TRACED_KEYS, True
+    )
