@@ -206,7 +206,7 @@ def check_claim5(shape, k, base_shf, shf):
     return {"claim": "5", "ok": ok}
 
 
-def run_claims_suite(max_n=3, max_q=2, progress=None):
+def run_claims_suite(max_n=3, max_q=2):
     """Claims 0-4 and their upward duals plus claim 5, over the whole grid."""
     failures = []
     total = 0
@@ -233,6 +233,4 @@ def run_claims_suite(max_n=3, max_q=2, progress=None):
                         if not c["ok"]:
                             c.update(shape=str(shape), k=k, shuffle=str(shf))
                             failures.append(c)
-                if progress:
-                    progress(str(shape))
     return {"total": total, "failures": failures, "ok": not failures}

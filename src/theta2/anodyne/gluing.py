@@ -77,8 +77,6 @@ def image_subobject(step, images=None):
     """The closure of the attached cell, or of the map's images."""
     if step.cell is not None:
         return Subobject.generated(step.ambient, [step.cell])
-    if images is None:
-        images = _map_images(step)
     return Subobject.generated(step.ambient, [img for _, img in images])
 
 

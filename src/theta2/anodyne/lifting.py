@@ -2,63 +2,64 @@
 
 A map from a horn domain into a cellular set is an assignment on the
 nondegenerate member cells compatible with the action; a filler is a
-single cell restricting to the assignment.  Everything is enumerated
-within the truncation, so verdicts are certified only up to the bound.
+single cell restricting to the assignment.  Every face factors through a
+hyperface, so both are decided by a boundary table: the target's cells
+keyed by their hyperface images.  Everything is enumerated within the
+truncation, so verdicts are certified only up to the bound.
 """
 
 from __future__ import annotations
 
+from functools import cache, partial
+
 from ..boxprod import horn_h, horn_h_alt, horn_v
 from ..cellset import Cell
 from ..delta import shuffles
-from ..theta import faces_into, shapes_upto
+from ..theta import hyperfaces, shapes_upto
 
 
-def subobject_maps(dom, target):
-    """All natural maps from a subobject of a representable into target.
+def boundary_table(target, shape):
+    """The target's cells at a shape, grouped by their images under hyperfaces(shape)."""
+    table = {}
+    for payload in target.cells(shape):
+        cell = Cell(shape, payload)
+        key = tuple(target.act(cell, h) for _, h in hyperfaces(shape))
+        table.setdefault(key, []).append(cell)
+    return table
 
-    Assignments are built nondegenerate cell by cell, in dimension order,
-    checking face compatibility against what is already placed.
+
+def subobject_maps(dom, tables):
+    """All natural maps from a subobject of a representable into the target.
+
+    In dimension order, a cell's candidates are the entry of its boundary
+    table ``tables(cell.shape)`` keyed by the images of its hyperfaces.
     """
-    nd_cells = sorted(dom.iter_nd(), key=lambda c: (c.shape.dim, c.shape, c.payload))
-    amb = dom.ambient
+    nd_cells = list(dom.iter_nd())
     maps = [{}]
     for cell in nd_cells:
-        constraints = []
-        for g in faces_into(cell.shape):
-            if g.src == cell.shape and g.is_identity():
-                continue
-            sub, deg = amb.nd_decompose(amb.act(cell, g))
-            constraints.append((g, sub, deg))
-        new_maps = []
-        for assignment in maps:
-            for cand in target.cells(cell.shape):
-                cand_cell = Cell(cell.shape, cand)
-                good = True
-                for g, sub, deg in constraints:
-                    want = target.act(assignment[sub], deg)
-                    if target.act(cand_cell, g) != want:
-                        good = False
-                        break
-                if good:
-                    nxt = dict(assignment)
-                    nxt[cell] = cand_cell
-                    new_maps.append(nxt)
-        maps = new_maps
+        faces = [dom.ambient.act(cell, h) for _, h in hyperfaces(cell.shape)]
+        table = tables(cell.shape)
+        maps = [
+            {**assignment, cell: cand}
+            for assignment in maps
+            for cand in table.get(tuple(assignment[f] for f in faces), ())
+        ]
         if not maps:
             break
     return nd_cells, maps
 
 
-def find_filler(shape, assignment, target):
-    """A cell of target at the horn's shape restricting to the assignment."""
-    for cand in target.cells(shape):
-        cand_cell = Cell(shape, cand)
-        if all(
-            target.act(cand_cell, cell.payload) == img
-            for cell, img in assignment.items()
-        ):
-            return cand_cell
+def find_filler(shape, assignment, tables):
+    """A target cell at the horn's shape agreeing with the assignment on the
+    hyperfaces the horn contains; they generate the horn."""
+    want = [
+        (i, assignment[Cell(h.src, h)])
+        for i, (_, h) in enumerate(hyperfaces(shape))
+        if Cell(h.src, h) in assignment
+    ]
+    for key, cells in tables(shape).items():
+        if all(key[i] == img for i, img in want):
+            return cells[0]
     return None
 
 
@@ -85,24 +86,19 @@ def _family_instances(family, max_dim):
 def lift_check(target, family, bound):
     """Search fillers for every horn instance with shape dim <= bound - 1."""
     results = []
+    tables = cache(partial(boundary_table, target))
     for shape, tag, inc in _family_instances(family, bound - 1):
-        nd_cells, maps = subobject_maps(inc.domain, target)
-        filled = 0
+        _, maps = subobject_maps(inc.domain, tables)
         missing = []
         for assignment in maps:
-            z = find_filler(shape, assignment, target)
-            if z is not None:
-                filled += 1
-            else:
-                missing.append(
-                    sorted(str(img.payload) for img in assignment.values())
-                )
+            if find_filler(shape, assignment, tables) is None:
+                missing.append(sorted(str(img.payload) for img in assignment.values()))
         results.append(
             {
                 "shape": str(shape),
                 "horn": tag,
                 "maps": len(maps),
-                "filled": filled,
+                "filled": len(maps) - len(missing),
                 "missing": missing,
             }
         )

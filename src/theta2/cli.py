@@ -28,7 +28,7 @@ from .anodyne import (
 )
 from .anodyne.admissible import enumerate_admissible_sets
 from .cellset import from_simplicial, representable, subobject_to_json
-from .delta import shuffle_covers, shuffles
+from .delta import DeltaError, shuffle_covers, shuffles
 from .grammar import (
     ParseError,
     parse_cellular,
@@ -435,7 +435,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ThetaError) as exc:
+    except (DeltaError, ParseError, ThetaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

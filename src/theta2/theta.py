@@ -82,7 +82,7 @@ TERMINAL = ThetaShape(())
 @lru_cache(maxsize=None)
 def shapes_upto(d):
     """All shapes of dimension <= d, sorted by (dim, n, qs)."""
-    out = [TERMINAL]
+    out = [TERMINAL] if d >= 0 else []
     for n in range(1, d + 1):
         budget = d - n
         for qs in itertools.product(range(budget + 1), repeat=n):
@@ -247,11 +247,6 @@ class CellularOperator:
 
     def is_degeneracy(self):
         return self.horizontal.is_epi() and all(c.is_epi() for c in self.components)
-
-    def is_identity(self):
-        return self.src == self.dst and self.is_face() and self.is_degeneracy() and (
-            self.horizontal.values == tuple(range(self.src.n + 1))
-        )
 
     def is_inner(self):
         return self.horizontal.preserves_endpoints() and all(

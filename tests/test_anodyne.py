@@ -18,7 +18,8 @@ from theta2.anodyne import (
 )
 from theta2.anodyne.admissible import enumerate_admissible_sets
 from theta2.anodyne.claims import label_closure
-from theta2.boxprod import horn_v, spine_subobject, sigma_subobject
+from theta2.anodyne.lifting import _family_instances
+from theta2.boxprod import boundary, horn_v, spine_subobject, sigma_subobject
 from theta2.cellset import Cell, Subobject, from_simplicial, representable
 from theta2.delta import shuffles
 from theta2.sset import J
@@ -26,11 +27,14 @@ from theta2.theta import (
     HyperfaceLabel,
     ThetaError,
     ThetaShape,
+    faces_into,
     hyperface_operator,
+    hyperfaces,
     inner_hyperface_labels,
     outer_hyperface_order,
     vertical_hyperface,
 )
+from theta2.twocat import chaotic_2cat, free_cell_2cat, nerve, suspension_of_chaotic
 
 
 def shape(*qs):
@@ -572,32 +576,24 @@ def test_lift_composable_pairs_oracle():
     assert inst["filled"] == inst["maps"]
 
 
+class BoundaryOnly:
+    """The boundary of the walking 2-cell as a standalone cellular set."""
+
+    bound = 4
+
+    def __init__(self):
+        self.amb = representable(shape(2,), 4)
+        self.bd = boundary(shape(2,)).domain
+
+    def cells(self, sh):
+        return tuple(p for p in self.amb.cells(sh) if self.bd.contains(Cell(sh, p)))
+
+    def act(self, cell, op):
+        return self.amb.act(cell, op)
+
+
 def test_lift_reports_missing_fillers():
-    # the boundary of the walking 2-cell, as a standalone cellular set,
-    # has an unfillable inner vertical horn
-    from theta2.boxprod import boundary
-
-    s = shape(2,)
-    bd = boundary(s).domain
-    amb = representable(s, 4)
-
-    class BoundaryOnly:
-        bound = 4
-
-        def cells(self, sh):
-            return tuple(
-                p for p in amb.cells(sh) if bd.contains(Cell(sh, p))
-            )
-
-        def act(self, cell, op):
-            return amb.act(cell, op)
-
-        def nd_decompose(self, cell):
-            return amb.nd_decompose(cell)
-
-        def is_nondegenerate(self, cell):
-            return amb.is_nondegenerate(cell)
-
+    # the boundary of the walking 2-cell has an unfillable inner vertical horn
     rep = lift_check(BoundaryOnly(), "inner-v", 4)
     inst = next(r for r in rep["instances"] if r["shape"] == "[1;2]")
     assert inst["maps"] > 0
@@ -606,12 +602,120 @@ def test_lift_reports_missing_fillers():
 
 def test_compare_generating_sets_agree():
     from theta2.anodyne import compare_generating_sets
-    from theta2.twocat import free_cell_2cat, nerve
 
     rep = compare_generating_sets(from_simplicial(J, 3), 3)
     assert rep["agree"] and rep["oury_fills"]
     rep = compare_generating_sets(nerve(free_cell_2cat(shape(0, 0)), 3), 3)
     assert rep["agree"] and rep["oury_fills"]
+
+
+class Counting:
+    """A target proxy counting ``act`` calls and recording enumerated levels."""
+
+    def __init__(self, target):
+        self.target = target
+        self.bound = target.bound
+        self.acts = 0
+        self.levels = set()
+
+    def cells(self, sh):
+        self.levels.add(sh)
+        return self.target.cells(sh)
+
+    def act(self, cell, op):
+        self.acts += 1
+        return self.target.act(cell, op)
+
+
+def _brute_lift_check(target, family, bound):
+    """Reference search: every candidate cell against every proper face."""
+    instances = []
+    for sh, tag, inc in _family_instances(family, bound - 1):
+        amb = inc.domain.ambient
+        maps = [{}]
+        for cell in sorted(inc.domain.iter_nd(), key=lambda c: (c.shape.dim, c.shape, c.payload)):
+            constraints = [
+                (g, *amb.nd_decompose(amb.act(cell, g)))
+                for g in faces_into(cell.shape)
+                if g.src != cell.shape  # the only face of a shape onto itself is the identity
+            ]
+            maps = [
+                {**a, cell: Cell(cell.shape, c)}
+                for a in maps
+                for c in target.cells(cell.shape)
+                if all(
+                    target.act(Cell(cell.shape, c), g) == target.act(a[sub], deg)
+                    for g, sub, deg in constraints
+                )
+            ]
+            if not maps:
+                break
+        missing = [
+            sorted(str(img.payload) for img in a.values())
+            for a in maps
+            if not any(
+                all(target.act(Cell(sh, z), c.payload) == img for c, img in a.items())
+                for z in target.cells(sh)
+            )
+        ]
+        instances.append(
+            {
+                "shape": str(sh),
+                "horn": tag,
+                "maps": len(maps),
+                "filled": len(maps) - len(missing),
+                "missing": missing,
+            }
+        )
+    return {
+        "family": family,
+        "bound": bound,
+        "instances": instances,
+        "unfilled": sum(len(r["missing"]) for r in instances),
+    }
+
+
+_LIFT_TARGETS = {
+    "J": lambda b: from_simplicial(J, b),
+    "suspension": lambda b: nerve(suspension_of_chaotic(), b),
+    "chaotic": lambda b: nerve(chaotic_2cat(), b),
+    "free[1;1]": lambda b: nerve(free_cell_2cat(shape(1, 1)), b),
+}
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize("family", ["inner", "alt-h"])
+@pytest.mark.parametrize("name", sorted(_LIFT_TARGETS))
+def test_lift_matches_face_by_face_search(name, family, bound):
+    fast = Counting(_LIFT_TARGETS[name](bound))
+    brute = Counting(_LIFT_TARGETS[name](bound))
+    assert lift_check(fast, family, bound) == _brute_lift_check(brute, family, bound)
+    assert fast.levels <= brute.levels
+
+
+def test_lift_matches_face_by_face_search_on_boundary_only():
+    rep = lift_check(BoundaryOnly(), "inner-v", 4)
+    assert rep == _brute_lift_check(BoundaryOnly(), "inner-v", 4)
+    assert rep["unfilled"] > 0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: from_simplicial(J, 4),
+        lambda: nerve(chaotic_2cat(), 4),
+        lambda: nerve(free_cell_2cat(shape(1, 1)), 4),
+    ],
+    ids=["J", "chaotic", "free[1;1]"],
+)
+def test_lift_acts_once_per_cell_and_hyperface(make):
+    # each target cell meets each hyperface of its shape once, in its
+    # boundary table; the search itself makes no act call
+    target = Counting(make())
+    rep = lift_check(target, "inner", 4)
+    assert rep["unfilled"] == 0
+    budget = sum(len(target.target.cells(s)) * len(hyperfaces(s)) for s in target.levels)
+    assert 0 < target.acts <= budget
 
 
 def test_lift_vacuous_family_at_low_bound():

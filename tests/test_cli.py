@@ -109,6 +109,29 @@ def test_cli_verify_all_reports_no_bound():
     assert doc["shapes"] == 2 and doc["failures"] == []
 
 
+def test_cli_verify_all_negative_max_dim_replays_nothing():
+    code, out = run_cli("--format", "json", "verify", "all", "--max-dim", "-1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["shapes"] == 0 and doc["failures"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "[{1,0};!]:[1;0]->[1;0]"),
+        ("shuffles", "-1", "2"),
+        ("verify", "alt-trivial", "--shape", "[2;1,1]", "--k", "1", "--shuffle", "<{0,0},{0,1}>"),
+    ],
+    ids=["non-monotone-operator", "negative-grid", "shuffle-of-other-grid"],
+)
+def test_cli_malformed_operator_or_shuffle_exit_2(capsys, argv):
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
 def test_cli_classify_json():
     code, out = run_cli(
         "--format", "json", "classify", "[{1,2};{0,1,2}]:[1;2]->[2;0,2]"

@@ -96,12 +96,13 @@ from tracer import Tracer
 
 tracer = Tracer()
 tracer.install([])
-from theta2.anodyne import lift_check, replay, vert_equiv
+from theta2.anodyne import lift_check, replay, spine_anodyne, vert_equiv
 from theta2.cellset import from_simplicial
 from theta2.sset import J
 from theta2.theta import ThetaShape
 
 assert replay(vert_equiv(ThetaShape((0, 1)), 1, 3))["ok"]
+assert replay(spine_anodyne(ThetaShape((0, 0))))["ok"]
 assert lift_check(from_simplicial(J, 3), "inner", 3)["unfilled"] == 0
 for key, count in sorted(tracer.calls.items()):
     print(key, count)

@@ -59,6 +59,7 @@ def test_shapes_upto_count():
     # one shape per subset-composition; 2^d shapes of dimension <= d
     for d in range(7):
         assert len(shapes_upto(d)) == 2**d
+    assert shapes_upto(-1) == ()
 
 
 def test_operator_wellformedness():
