@@ -708,8 +708,15 @@ def _surjective_comp(y, q):
     return y is not None and set(y) == set(range(q + 1))
 
 
+def _check_equiv_bound(bound):
+    # the replay certifies cells of dim < bound, so a bound below 1 certifies nothing
+    if bound < 1:
+        raise ThetaError(f"an equivalence-extension replay needs bound >= 1, got {bound}")
+
+
 def vert_equiv(shape, k, bound):
     """Stagewise replay of the vertical equivalence extension."""
+    _check_equiv_bound(bound)
     n = shape.n
     if not (1 <= k <= n and shape.q(k) == 0):
         raise ThetaError(f"vertical extension needs q_{k} = 0 in {shape}")
@@ -908,6 +915,7 @@ def _stage_check(ambient, label, stage_of, stage, bound):
 
 def horiz_equiv(shape, bound):
     """Stagewise replay of the interval-times-boundary extension."""
+    _check_equiv_bound(bound)
     if shape.n == 0:
         raise ThetaError("the terminal shape has its own one-line argument")
     inc = equiv_horiz(shape, bound)

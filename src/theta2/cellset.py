@@ -367,9 +367,6 @@ class Subobject:
     def nd_count(self):
         return sum(len(v) for v in self.nd.values())
 
-    def max_dim(self):
-        return max((s.dim for s in self.nd), default=-1)
-
     def _check_ambient(self, other):
         if self.ambient is not other.ambient:
             raise ThetaError("subobjects live in different ambient cellular sets")
@@ -417,10 +414,7 @@ class Subobject:
         return self.restricted(max_dim).nd == other.restricted(max_dim).nd
 
     def is_full(self):
-        return all(
-            set(self.nd_at(s)) == set(self.ambient.nd_cells(s))
-            for s in self.ambient.shapes()
-        )
+        return self.same_cells(Subobject.full(self.ambient))
 
     def pullback_along(self, cell):
         """Pull the subobject back along a cell, landing in a representable."""
@@ -432,16 +426,7 @@ class Subobject:
             bits = f"{self._bits():0{width}b}"[::-1]
             hits = "".join(bits[t] for t in reversed(table))
             return Subobject._from_mask(amb, int(hits or "0", 2))
-        nd = {}
-        for src in shapes_upto(cell.shape.dim):
-            hits = {
-                f
-                for f in faces_between(src, cell.shape)
-                if self.contains(self.ambient.act(cell, f))
-            }
-            if hits:
-                nd[src] = hits
-        return Subobject(amb, nd)
+        return Subobject.where(amb, lambda c: self.contains(self.ambient.act(cell, c.payload)))
 
     def __repr__(self):
         return f"Subobject({self.ambient!r}, {self.nd_count()} nd cells)"

@@ -50,7 +50,7 @@ def _emit(args, doc, text_lines):
     if args.format == "json":
         out = json.dumps(doc, indent=2, sort_keys=True)
     elif args.format == "dot":
-        out = doc.get("dot", "")
+        out = doc["dot"]
     else:
         out = "\n".join(text_lines)
     print(out)
@@ -433,6 +433,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format == "dot" and args.command != "shuffles":
+        print(f"error: --format dot draws only shuffles, not {args.command}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except (DeltaError, ParseError, ThetaError) as exc:

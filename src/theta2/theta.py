@@ -194,10 +194,6 @@ class CellularOperator:
             raise ThetaError(f"index {k} not covered by {self}")
         return self.components[k - a[0] - 1]
 
-    def covered(self):
-        a = self.horizontal.values
-        return range(a[0] + 1, a[-1] + 1)
-
     def __eq__(self, other):
         return (
             isinstance(other, CellularOperator)

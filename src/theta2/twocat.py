@@ -107,68 +107,59 @@ class Finite2Category:
         return True
 
 
+def locally_thin_2cat(objects, one_cells, two_cells, id1, hcomp1):
+    """A 2-category with at most one 2-cell between any two 1-cells.
+
+    Its identity 2-cells and both compositions of 2-cells are forced, since
+    each is the unique 2-cell between its ends, so they are derived here.
+    """
+    between = {ends: t for t, ends in two_cells.items()}
+    if len(between) != len(two_cells):
+        raise ThetaError("two 2-cells share their ends; the 2-category is not locally thin")
+    id2 = {f: between[(f, f)] for f in one_cells}
+    vcomp = {}
+    hcomp2 = {}
+    for t1, (f1, g1) in two_cells.items():
+        for t2, (f2, g2) in two_cells.items():
+            if g1 == f2:
+                vcomp[(t2, t1)] = between[(f1, g2)]
+            if (f2, f1) in hcomp1:
+                hcomp2[(t2, t1)] = between[(hcomp1[(f2, f1)], hcomp1[(g2, g1)])]
+    return Finite2Category(objects, one_cells, two_cells, id1, id2, hcomp1, vcomp, hcomp2)
+
+
 def free_cell_2cat(shape):
     """The free 2-category on the shape: hom(k,l) is a product poset."""
     objects = tuple(range(shape.n + 1))
     one_cells = {}
     two_cells = {}
-    id1 = {}
-    id2 = {}
-    hcomp1 = {}
-    vcomp = {}
-    hcomp2 = {}
-
-    def cell1(k, l, x):
-        return ("f", k, l, x)
-
-    def cell2(k, l, x, y):
-        return ("t", k, l, x, y)
-
     for k in objects:
         for l in objects[k:]:
-            qs = shape.qs[k:l]
-            for x in itertools.product(*(range(q + 1) for q in qs)):
-                one_cells[cell1(k, l, x)] = (k, l)
-                for y in itertools.product(*(range(q + 1) for q in qs)):
+            points = list(itertools.product(*(range(q + 1) for q in shape.qs[k:l])))
+            for x in points:
+                one_cells[("f", k, l, x)] = (k, l)
+                for y in points:
                     if all(a <= b for a, b in zip(x, y)):
-                        two_cells[cell2(k, l, x, y)] = (cell1(k, l, x), cell1(k, l, y))
-    for k in objects:
-        id1[k] = cell1(k, k, ())
-    for f, (k, l) in one_cells.items():
-        id2[f] = cell2(k, l, f[3], f[3])
-    for f, (a, b) in one_cells.items():
-        for g, (b2, c) in one_cells.items():
-            if b == b2:
-                hcomp1[(g, f)] = cell1(a, c, f[3] + g[3])
-    for t, (f, g) in two_cells.items():
-        _, k, l, x, y = t
-        for t2, (f2, g2) in two_cells.items():
-            _, k2, l2, x2, y2 = t2
-            if (k2, x2) == (k, y):
-                vcomp[(t2, t)] = cell2(k, l, x, y2)
-            if k2 == l:
-                hcomp2[(t2, t)] = cell2(k, l2, x + x2, y + y2)
-    return Finite2Category(objects, one_cells, two_cells, id1, id2, hcomp1, vcomp, hcomp2)
+                        two_cells[("t", k, l, x, y)] = (("f", k, l, x), ("f", k, l, y))
+    id1 = {k: ("f", k, k, ()) for k in objects}
+    hcomp1 = {
+        (g, f): ("f", a, c, f[3] + g[3])
+        for f, (a, b) in one_cells.items()
+        for g, (b2, c) in one_cells.items()
+        if b == b2
+    }
+    return locally_thin_2cat(objects, one_cells, two_cells, id1, hcomp1)
 
 
 def chaotic_2cat(objects=("d", "f")):
     """The chaotic category on a set, viewed as a locally discrete 2-category."""
     objects = tuple(objects)
     one_cells = {("f", a, b): (a, b) for a in objects for b in objects}
-    two_cells = {("t", a, b): (("f", a, b), ("f", a, b)) for a in objects for b in objects}
+    two_cells = {("t", a, b): (f, f) for f, (a, b) in one_cells.items()}
     id1 = {a: ("f", a, a) for a in objects}
-    id2 = {f: ("t", f[1], f[2]) for f in one_cells}
-    hcomp1 = {}
-    vcomp = {}
-    hcomp2 = {}
-    for f, (a, b) in one_cells.items():
-        for g, (b2, c) in one_cells.items():
-            if b == b2:
-                hcomp1[(g, f)] = ("f", a, c)
-                hcomp2[(id2[g], id2[f])] = ("t", a, c)
-    for f in one_cells:
-        vcomp[(id2[f], id2[f])] = id2[f]
-    return Finite2Category(objects, one_cells, two_cells, id1, id2, hcomp1, vcomp, hcomp2)
+    triples = itertools.product(objects, repeat=3)
+    hcomp1 = {(("f", b, c), ("f", a, b)): ("f", a, c) for a, b, c in triples}
+    return locally_thin_2cat(objects, one_cells, two_cells, id1, hcomp1)
 
 
 def suspension_of_chaotic():
@@ -183,45 +174,17 @@ def suspension_of_chaotic():
         ("f", "d"): (0, 1),
         ("f", "f"): (0, 1),
     }
-    two_cells = {}
-    for f in one_cells:
-        if f[0] == "i":
-            two_cells[("t", f, f)] = (f, f)
-    for a in ("d", "f"):
-        for b in ("d", "f"):
-            two_cells[("t", ("f", a), ("f", b))] = (("f", a), ("f", b))
+    two_cells = {
+        ("t", f, g): (f, g)
+        for f in one_cells
+        for g in one_cells
+        if f == g or f[0] == g[0] == "f"
+    }
     id1 = {0: ("i", 0), 1: ("i", 1)}
-    id2 = {f: ("t", f, f) for f in one_cells}
-    hcomp1 = {}
-    hcomp2 = {}
-    vcomp = {}
-    for t1, (f1, g1) in two_cells.items():
-        for t2, (f2, g2) in two_cells.items():
-            if g1 == f2:
-                vcomp[(t2, t1)] = ("t", f1, g2)
-    for f, (a, b) in one_cells.items():
-        for g, (b2, c) in one_cells.items():
-            if b != b2:
-                continue
-            comp = f if g == id1[b] else g if f == id1[a] else None
-            if comp is None:
-                continue  # no composable non-identity pairs across 0 -> 1 -> ?
-            hcomp1[(g, f)] = comp
-    for (g, f), gf in hcomp1.items():
-        for t2 in _endo_args(two_cells, g):
-            for t1 in _endo_args(two_cells, f):
-                hcomp2[(t2, t1)] = _whisker(two_cells, hcomp1, t2, t1)
-    return Finite2Category(objects, one_cells, two_cells, id1, id2, hcomp1, vcomp, hcomp2)
-
-
-def _endo_args(two_cells, f):
-    return [t for t, (s, _) in two_cells.items() if s == f]
-
-
-def _whisker(two_cells, hcomp1, t2, t1):
-    f1, g1 = two_cells[t1]
-    f2, g2 = two_cells[t2]
-    return ("t", hcomp1[(f2, f1)], hcomp1[(g2, g1)])
+    # every composable pair has an identity side
+    hcomp1 = {(f, id1[a]): f for f, (a, _) in one_cells.items()}
+    hcomp1.update({(id1[b], f): f for f, (_, b) in one_cells.items()})
+    return locally_thin_2cat(objects, one_cells, two_cells, id1, hcomp1)
 
 
 class Nerve(TruncatedCellularSet):

@@ -396,6 +396,15 @@ def test_horiz_equiv_rejects_terminal():
         horiz_equiv(shape(), 3)
 
 
+@pytest.mark.parametrize("bound", [-1, 0])
+def test_equiv_replays_reject_bound_below_1(bound):
+    # such a bound would certify cells below dimension 0, which is nothing
+    with pytest.raises(ThetaError, match="bound >= 1"):
+        vert_equiv(shape(0, 0), 1, bound)
+    with pytest.raises(ThetaError, match="bound >= 1"):
+        horiz_equiv(shape(0,), bound)
+
+
 def test_horiz_equiv_cut_index_well_defined():
     # every nondegenerate cell outside the domain but without the terminal
     # filled vertex has a unique index where the interval part drops

@@ -100,6 +100,20 @@ def test_cli_shuffles_rejects_dot_option(capsys):
     assert "unrecognized arguments: --dot" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("hyperfaces", "[1;1]"), ("verify", "spine-anodyne", "--shape", "[1;1]")],
+    ids=["hyperfaces", "verify"],
+)
+def test_cli_dot_format_only_for_shuffles(argv, capsys):
+    # only shuffles has a diagram to draw; elsewhere dot used to print an empty line
+    assert main(["--format", "dot", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --format dot")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_cli_verify_all_reports_no_bound():
     # no replay that verify all runs takes a truncation bound
     code, out = run_cli("--format", "json", "verify", "all", "--max-dim", "1")
@@ -147,6 +161,24 @@ def test_cli_verify_success_and_failure_paths():
     assert "status: certified" in out
     code, out = run_cli("verify", "vert-equiv", "--shape", "[1;0]", "--bound", "3")
     assert code == 0
+
+
+@pytest.mark.parametrize("bound", ["-1", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "vert-equiv", "--shape", "[2;0,0]", "--k", "1"),
+        ("verify", "horiz-equiv", "--shape", "[1;0]"),
+    ],
+    ids=["vert-equiv", "horiz-equiv"],
+)
+def test_cli_equiv_bound_below_1_exit_2(argv, bound, capsys):
+    assert main([*argv, "--bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert "certified" not in captured.out
+    err = captured.err
+    assert err.startswith("error: ") and "bound >= 1" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_cli_verify_claims_small():

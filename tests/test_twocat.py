@@ -15,6 +15,7 @@ from theta2.twocat import (
     chaotic_2cat,
     format_2cat,
     free_cell_2cat,
+    locally_thin_2cat,
     nerve,
     parse_2cat_text,
     suspension_of_chaotic,
@@ -115,6 +116,33 @@ def test_chaotic_nerve_is_interval():
     for sh in shapes_upto(3):
         assert len(n.cells(sh)) == len(jc.cells(sh))
         assert len(n.nd_cells(sh)) == len(jc.nd_cells(sh))
+
+
+def test_one_object_chaotic_nerve_sits_inside_chaotic_nerve():
+    # the domain of {d} inside J, read as nerves of chaotic 2-categories
+    small = nerve(chaotic_2cat(("d",)), 3)
+    big = nerve(chaotic_2cat(), 3)
+    into = {sh: [op for _, op in hyperfaces(sh)] for sh in shapes_upto(3)}
+    for upper in shapes_upto(3):
+        for deg, _ in elementary_degeneracies(upper):
+            into[deg.dst].append(deg)
+    for sh in shapes_upto(3):
+        cells = small.cells(sh)
+        assert set(cells) <= set(big.cells(sh)), sh
+        for c in cells:
+            for op in into[sh]:
+                assert small.act(Cell(sh, c), op) == big.act(Cell(sh, c), op)
+
+
+def test_locally_thin_builder_rejects_parallel_2cells():
+    with pytest.raises(ThetaError, match="not locally thin"):
+        locally_thin_2cat(
+            ("a",),
+            {"1": ("a", "a")},
+            {"x": ("1", "1"), "y": ("1", "1")},
+            {"a": "1"},
+            {("1", "1"): "1"},
+        )
 
 
 def test_suspension_nerve_is_interval_box():
