@@ -30,7 +30,6 @@ from ..boxprod import (
 )
 from ..cellset import Cell, Subobject, representable
 from ..delta import (
-    SimplicialOperator,
     all_monos,
     shuffle_corners,
     shuffle_leq,
@@ -293,7 +292,7 @@ def spine_anodyne(shape):
         )
         steps.append(_face_step("glue dh^0 face along primed stage", dh_0, prime))
         pending = sorted(
-            (f for f in faces_into(shape) if {0, 1, n} <= set(f.horizontal.values)),
+            (f for f in faces_into(shape) if {0, 1, n} <= set(f.x)),
             key=lambda f: (f.src.dim, f),
         )
         for f in pending:
@@ -314,7 +313,7 @@ def vertical_face(shape, alpha):
     if shape.n != 1:
         raise ThetaError("vertical_face expects a shape [1;q]")
     src = ThetaShape((alpha.src,))
-    return CellularOperator(src, shape, SimplicialOperator([0, 1], 1), (alpha,))
+    return CellularOperator(src, shape, (0, 1), (alpha.values,))
 
 
 # -- outer-hyperface stage -----------------------------------------------------
@@ -929,7 +928,7 @@ def horiz_equiv(shape, bound):
         # Stage 1 glues along the horn just after the last filled vertex,
         # stage 2 along the horn at the first vertex over n.
         u, f = payload
-        vals = f.horizontal.values
+        vals = f.x
         if inc.domain.contains(Cell(f.src, payload)):
             return 0, None
         if not any(u[v] == FILLED and vals[v] == n for v in range(len(u))):

@@ -32,6 +32,7 @@ from .sset import (
     standard_simplex,
 )
 from .theta import (
+    CellularOperator,
     HyperfaceLabel,
     ThetaError,
     ThetaShape,
@@ -39,8 +40,6 @@ from .theta import (
     hyperface_operator,
     hyperfaces,
     interval_index,
-    operator_from_values,
-    operator_values,
     reedy_values,
     vertebrae,
 )
@@ -78,7 +77,7 @@ class BoxCellSet(TruncatedCellularSet):
         if hit is None:
             sigma, deg_comps, mid_qs, x, comps = reedy_values(*cell.payload)
             mid = ThetaShape(mid_qs)
-            deg = operator_from_values(cell.shape, mid, sigma, deg_comps)
+            deg = CellularOperator(cell.shape, mid, sigma, deg_comps)
             hit = self._nd_memo[cell] = (Cell(mid, (x, comps)), deg)
         return hit
 
@@ -88,11 +87,6 @@ class BoxCellSet(TruncatedCellularSet):
     def __repr__(self):
         fibs = ",".join(f.name for f in self.fibers)
         return f"BoxCellSet(n={self.n}, base={self.base.name}, fibers=[{fibs}], bound={self.bound})"
-
-
-def box_n(n, base, fibers, bound):
-    """The box of a simplicial set over Delta[n] with the given fibers."""
-    return BoxCellSet(n, base, fibers, bound)
 
 
 def box_representable(shape, bound=None):
@@ -109,12 +103,12 @@ def box_representable(shape, bound=None):
 
 def box_cell_to_operator(box, cell, shape_codomain):
     """Transport a cell of box(id; Delta[q*]) to an operator into [n;q]."""
-    return operator_from_values(cell.shape, shape_codomain, *cell.payload)
+    return CellularOperator(cell.shape, shape_codomain, *cell.payload)
 
 
 def operator_to_box_cell(f):
     """Inverse transport: an operator into [n;q] as a box cell payload."""
-    return Cell(f.src, operator_values(f))
+    return Cell(f.src, (f.x, f.comps))
 
 
 # -- Leibniz construction ---------------------------------------------------

@@ -237,10 +237,6 @@ class ProductCellSet(TruncatedCellularSet):
         return f"ProductCellSet({self.left!r}, {self.right!r}, bound={self.bound})"
 
 
-def product(left, right, bound=None):
-    return ProductCellSet(left, right, bound)
-
-
 def terminal_cellset(bound):
     return FromSimplicial(standard_simplex(0), bound)
 

@@ -231,6 +231,9 @@ def cmd_lift(args):
     else:
         raise ParseError(f"unknown lifting target {args.x!r}")
     rep = lift_check(target, args.family, args.bound)
+    if not rep["instances"]:
+        # an empty search certifies nothing
+        raise ThetaError(f"no {args.family} horn has dimension below bound {args.bound}")
     rep["report_name"] = f"lift-{args.family}"
     lines = [
         f"{r['shape']} {r['horn']}: {r['filled']}/{r['maps']} filled"

@@ -41,10 +41,6 @@ def parse_shape(text):
     return ThetaShape(qs)
 
 
-def print_shape(shape):
-    return str(shape)
-
-
 def _parse_values(text):
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
@@ -89,7 +85,9 @@ def parse_cellular(text):
     mm = _CELLULAR_RE.match(body.strip())
     if not mm:
         raise ParseError(f"bad cellular operator body: {body!r}")
-    horizontal = SimplicialOperator(_parse_values(mm.group(1)), dst.n)
+    a = _parse_values(mm.group(1))
+    if len(a) != src.n + 1 or a[-1] > dst.n or list(a) != sorted(a):
+        raise ParseError(f"horizontal part of {text!r} is not a map [{src.n}]->[{dst.n}]")
     comp_text = mm.group(2).strip()
     comps = []
     if comp_text:
@@ -107,7 +105,6 @@ def parse_cellular(text):
                 depth -= 1
             token += ch
         tokens.append(token)
-        a = horizontal.values
         covered = list(range(a[0] + 1, a[-1] + 1))
         if len(tokens) != len(covered):
             raise ParseError(
@@ -115,16 +112,13 @@ def parse_cellular(text):
             )
         for tok, k in zip(tokens, covered):
             tok = tok.strip()
-            if tok == "!":
-                l = interval_index(a, k)
-                comps.append(SimplicialOperator([0] * (src.q(l) + 1), 0))
+            if tok != "!":
+                comps.append(_parse_values(tok))
+            elif dst.q(k) == 0:
+                comps.append((0,) * (src.q(interval_index(a, k)) + 1))
             else:
-                comps.append(SimplicialOperator(_parse_values(tok), dst.q(k)))
-    return CellularOperator(src, dst, horizontal, tuple(comps))
-
-
-def print_cellular(f):
-    return str(f)
+                raise ParseError(f"component {k} of {text!r} is ! but [{dst.q(k)}] is not [0]")
+    return CellularOperator(src, dst, a, comps)
 
 
 def parse_shuffle(text):
@@ -153,10 +147,6 @@ def parse_shuffle(text):
     ):
         raise ParseError(f"not a shuffle: {text!r}")
     return Shuffle(m, n, SimplicialOperator(a_vals, m))
-
-
-def print_shuffle(s):
-    return str(s)
 
 
 def parse_hyperface_label(text, shape):

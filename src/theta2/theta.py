@@ -5,11 +5,11 @@ horizontal operator [m] -> [n] and one vertical component [p_l] -> [q_k]
 for each covered index alpha(0) < k <= alpha(m), where l is the unique
 index with alpha(l-1) < k <= alpha(l).
 
-The value kernels below work on the same data without operators: a cell
-at [m;p] is a pair (x, comps), where x is the value tuple of the
-horizontal part and comps holds one value tuple per covered index, in
-order.  Operators into a shape, box cells and free-nerve cells all use
-this convention, so acting, composing and Reedy-factoring are done once.
+A morphism is stored as its cell data: a cell at [m;p] is a pair
+(x, comps), where x is the value tuple of the horizontal part and comps
+holds one value tuple per covered index, in order.  Operators, box cells
+and free-nerve cells all use this convention, so the value kernels below
+act, compose and Reedy-factor once for all of them.
 """
 
 from __future__ import annotations
@@ -17,17 +17,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .delta import (
-    CompositionError,
-    SimplicialOperator,
-    all_monos,
-    all_operators,
-    delta_op,
-    identity,
-    op_dual_simplicial,
-    shuffles,
-    sigma_op,
-)
+from .delta import CompositionError, SimplicialOperator, shuffles
 
 
 class ThetaError(ValueError):
@@ -99,25 +89,14 @@ def interval_index(values, k):
     raise ThetaError(f"index {k} not covered by {values}")
 
 
-def operator_values(f):
-    """The cell data (x, comps) of an operator."""
-    return f.horizontal.values, tuple([c.values for c in f.components])
-
-
-def operator_from_values(src, dst, x, comps):
-    """The operator src -> dst whose cell data is (x, comps)."""
-    parts = [SimplicialOperator(c, dst.qs[x[0] + j]) for j, c in enumerate(comps)]
-    return CellularOperator(src, dst, SimplicialOperator(x, dst.n), parts)
-
-
 def act_values(op, x, comps):
     """The cell data (x, comps) restricted along the operator ``op``."""
-    beta = op.horizontal.values
+    beta = op.x
     nx = tuple([x[v] for v in beta])
     ncomps = []
     for j in range(nx[0] + 1, nx[-1] + 1):
         y = comps[j - x[0] - 1]
-        c = op.components[interval_index(x, j) - beta[0] - 1].values
+        c = op.comps[interval_index(x, j) - beta[0] - 1]
         ncomps.append(tuple([y[v] for v in c]))
     return nx, tuple(ncomps)
 
@@ -151,73 +130,92 @@ def reedy_values(x, comps):
     return tuple(sigma), tuple(deg_comps), tuple(mid_qs), tuple(alpha), tuple(face_comps)
 
 
+def _is_map(values, m, n):
+    """Whether ``values`` are those of an order-preserving map [m] -> [n]."""
+    return (
+        len(values) == m + 1
+        and values[0] >= 0
+        and values[-1] <= n
+        and list(values) == sorted(values)
+    )
+
+
+def _ids(qs):
+    """The value tuples of the identities of [q] for q in qs."""
+    return tuple([tuple(range(q + 1)) for q in qs])
+
+
+def _skip(i, n):
+    """The values of the elementary face [n-1] -> [n] whose image omits i."""
+    return tuple([v for v in range(n + 1) if v != i])
+
+
 class CellularOperator:
     """A morphism of the 2-cell category, [alpha; components] : src -> dst.
 
-    ``components[j]`` is the vertical operator at covered index
-    k = alpha(0) + 1 + j, of type [p_l] -> [q_k].
+    It is held as its cell data: ``x`` is the value tuple of the horizontal
+    part alpha : [m] -> [n], and ``comps[j]`` that of the vertical
+    component [p_l] -> [q_k] at covered index k = x[0] + 1 + j.
     """
 
-    __slots__ = ("src", "dst", "horizontal", "components", "_hash")
+    __slots__ = ("src", "dst", "x", "comps", "_hash")
 
-    def __init__(self, src, dst, horizontal, components):
-        components = tuple(components)
-        if horizontal.src != src.n or horizontal.dst != dst.n:
+    def __init__(self, src, dst, x, comps):
+        x = tuple(x)
+        comps = tuple([tuple(c) for c in comps])
+        if not _is_map(x, src.n, dst.n):
+            raise ThetaError(f"horizontal part {x} is not a map [{src.n}]->[{dst.n}]")
+        if len(comps) != x[-1] - x[0]:
             raise ThetaError(
-                f"horizontal part {horizontal} does not match {src} -> {dst}"
+                f"expected {x[-1] - x[0]} components for {x}, got {len(comps)}"
             )
-        a = horizontal.values
-        covered = range(a[0] + 1, a[-1] + 1)
-        if len(components) != len(covered):
-            raise ThetaError(
-                f"expected {len(covered)} components for {horizontal}, got {len(components)}"
-            )
-        for j, k in enumerate(covered):
-            comp = components[j]
-            l = interval_index(a, k)
-            if comp.src != src.q(l) or comp.dst != dst.q(k):
+        l = 1
+        for k, c in enumerate(comps, x[0] + 1):
+            while x[l] < k:
+                l += 1
+            if not _is_map(c, src.qs[l - 1], dst.qs[k - 1]):
                 raise ThetaError(
-                    f"component at {k} must be [{src.q(l)}]->[{dst.q(k)}], got {comp}"
+                    f"component at {k} must be [{src.qs[l - 1]}]->[{dst.qs[k - 1]}], got {c}"
                 )
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "horizontal", horizontal)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "_hash", hash((src, dst, horizontal, components)))
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "comps", comps)
+        object.__setattr__(self, "_hash", hash((src, dst, x, comps)))
 
     def __setattr__(self, name, value):
         raise AttributeError("CellularOperator is immutable")
 
+    @property
+    def horizontal(self):
+        return SimplicialOperator(self.x, self.dst.n)
+
+    @property
+    def components(self):
+        qs = self.dst.qs[self.x[0] :]
+        return tuple(SimplicialOperator(c, q) for c, q in zip(self.comps, qs))
+
     def component_at(self, k):
-        a = self.horizontal.values
+        a = self.x
         if not a[0] < k <= a[-1]:
             raise ThetaError(f"index {k} not covered by {self}")
-        return self.components[k - a[0] - 1]
+        return self.comps[k - a[0] - 1]
 
     def __eq__(self, other):
         return (
             isinstance(other, CellularOperator)
             and self.src == other.src
             and self.dst == other.dst
-            and self.horizontal == other.horizontal
-            and self.components == other.components
+            and self.x == other.x
+            and self.comps == other.comps
         )
 
     def __hash__(self):
         return self._hash
 
     def __lt__(self, other):
-        return (
-            self.src,
-            self.dst,
-            self.horizontal.values,
-            tuple(c.values for c in self.components),
-        ) < (
-            other.src,
-            other.dst,
-            other.horizontal.values,
-            tuple(c.values for c in other.components),
-        )
+        key = (self.src, self.dst, self.x, self.comps)
+        return key < (other.src, other.dst, other.x, other.comps)
 
     def __repr__(self):
         return f"CellularOperator({self.src!r}, {self.dst!r}, {self.horizontal!r}, {self.components!r})"
@@ -229,17 +227,8 @@ class CellularOperator:
     # -- classification ---------------------------------------------------
 
     def is_face(self):
-        if not self.horizontal.is_mono():
-            return False
-        a = self.horizontal.values
-        for l in range(1, self.src.n + 1):
-            ks = range(a[l - 1] + 1, a[l] + 1)
-            comps = [self.component_at(k) for k in ks]
-            p = self.src.q(l)
-            for i in range(p):
-                if not any(c.values[i] < c.values[i + 1] for c in comps):
-                    return False  # family at interval l not jointly monic
-        return True
+        """A face is an operator whose Reedy degeneracy is the identity."""
+        return reedy_values(self.x, self.comps)[2] == self.src.qs
 
     def is_degeneracy(self):
         return self.horizontal.is_epi() and all(c.is_epi() for c in self.components)
@@ -253,27 +242,22 @@ class CellularOperator:
         return all(c.is_epi() for c in self.components)
 
     def is_vertical(self):
-        return self.horizontal == identity(self.dst.n)
+        return self.x == tuple(range(self.dst.n + 1))
 
     def is_inert(self):
         return self.horizontal.is_inert() and all(c.is_inert() for c in self.components)
 
 
 def identity_cellular(shape):
-    return CellularOperator(
-        shape,
-        shape,
-        identity(shape.n),
-        tuple(identity(q) for q in shape.qs),
-    )
+    return CellularOperator(shape, shape, range(shape.n + 1), _ids(shape.qs))
 
 
 def compose_cellular(g, f):
     """The composite f ∘ g of g : [k;r] -> [m;p] followed by f : [m;p] -> [n;q]."""
     if g.dst != f.src:
         raise CompositionError(f"cannot compose {g} then {f}: endpoint mismatch")
-    x, comps = act_values(g, *operator_values(f))
-    return operator_from_values(g.src, f.dst, x, comps)
+    x, comps = act_values(g, f.x, f.comps)
+    return CellularOperator(g.src, f.dst, x, comps)
 
 
 def classify_cellular(f):
@@ -370,8 +354,7 @@ def horizontal_face_0(shape):
     if n < 1:
         raise ThetaError("[0] has no horizontal faces")
     src = ThetaShape(shape.qs[1:])
-    comps = tuple(identity(shape.q(k)) for k in range(2, n + 1))
-    return CellularOperator(src, shape, delta_op(0, n), comps)
+    return CellularOperator(src, shape, _skip(0, n), _ids(src.qs))
 
 
 def horizontal_face_n(shape):
@@ -380,8 +363,7 @@ def horizontal_face_n(shape):
     if n < 1:
         raise ThetaError("[0] has no horizontal faces")
     src = ThetaShape(shape.qs[:-1])
-    comps = tuple(identity(shape.q(k)) for k in range(1, n))
-    return CellularOperator(src, shape, delta_op(n, n), comps)
+    return CellularOperator(src, shape, _skip(n, n), _ids(src.qs))
 
 
 def horizontal_hyperface(shape, k, shf):
@@ -392,18 +374,9 @@ def horizontal_hyperface(shape, k, shf):
     if (shf.m, shf.n) != (shape.q(k), shape.q(k + 1)):
         raise ThetaError(f"shuffle {shf} does not fit {shape} at position {k}")
     qs = shape.qs[: k - 1] + (shape.q(k) + shape.q(k + 1),) + shape.qs[k + 1 :]
-    src = ThetaShape(qs)
-    comps = []
-    for j in range(1, n + 1):
-        if j < k:
-            comps.append(identity(shape.q(j)))
-        elif j == k:
-            comps.append(shf.alpha)
-        elif j == k + 1:
-            comps.append(shf.alpha_prime)
-        else:
-            comps.append(identity(shape.q(j)))
-    return CellularOperator(src, shape, delta_op(k, n), comps)
+    comps = list(_ids(shape.qs))
+    comps[k - 1 : k + 1] = shf.alpha.values, shf.alpha_prime.values
+    return CellularOperator(ThetaShape(qs), shape, _skip(k, n), comps)
 
 
 def vertical_hyperface(shape, k, i):
@@ -411,12 +384,9 @@ def vertical_hyperface(shape, k, i):
     if not (1 <= k <= shape.n and shape.q(k) >= 1 and 0 <= i <= shape.q(k)):
         raise ThetaError(f"no vertical hyperface ({k};{i}) of {shape}")
     qs = shape.qs[: k - 1] + (shape.q(k) - 1,) + shape.qs[k:]
-    src = ThetaShape(qs)
-    comps = tuple(
-        delta_op(i, shape.q(j)) if j == k else identity(shape.q(j))
-        for j in range(1, shape.n + 1)
-    )
-    return CellularOperator(src, shape, identity(shape.n), comps)
+    comps = list(_ids(shape.qs))
+    comps[k - 1] = _skip(i, shape.q(k))
+    return CellularOperator(ThetaShape(qs), shape, range(shape.n + 1), comps)
 
 
 def hyperface_operator(shape, label):
@@ -484,22 +454,26 @@ def outer_hyperface_order(shape):
 # -- enumeration ----------------------------------------------------------
 
 
+def _maps(m, n):
+    """The value tuples of all operators [m] -> [n], lexicographically."""
+    return itertools.combinations_with_replacement(range(n + 1), m + 1)
+
+
 @lru_cache(maxsize=None)
 def cellular_ops(src, dst):
     """All operators src -> dst, lexicographic on (horizontal, components)."""
     out = []
-    for alpha in all_operators(src.n, dst.n):
-        a = alpha.values
+    for a in _maps(src.n, dst.n):
         covered = range(a[0] + 1, a[-1] + 1)
-        pools = [all_operators(src.q(interval_index(a, k)), dst.q(k)) for k in covered]
+        pools = [_maps(src.q(interval_index(a, k)), dst.q(k)) for k in covered]
         for comps in itertools.product(*pools):
-            out.append(CellularOperator(src, dst, alpha, comps))
+            out.append(CellularOperator(src, dst, a, comps))
     out.sort()
     return tuple(out)
 
 
 def _jointly_monic_families(p, qs):
-    """All jointly monic tuples of operators [p] -> [q] for q in qs.
+    """All jointly monic tuples of operators [p] -> [q] for q in qs, as values.
 
     Equivalently the strictly increasing (p+1)-chains in the product
     poset; enumerated directly so large shapes stay tractable.
@@ -522,10 +496,7 @@ def _jointly_monic_families(p, qs):
     for start in points:
         chain = [start]
         extend()
-    return [
-        tuple(SimplicialOperator(vals, q) for vals, q in zip(valss, qs))
-        for valss in out
-    ]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -535,16 +506,14 @@ def faces_between(src, dst):
     m, n = src.n, dst.n
     if m > n:
         return ()
-    for alpha in all_monos(m, n):
+    for a in itertools.combinations(range(n + 1), m + 1):
         pools = []
         for l in range(1, m + 1):
-            ks = range(alpha.values[l - 1] + 1, alpha.values[l] + 1)
-            pools.append(
-                _jointly_monic_families(src.q(l), tuple(dst.q(k) for k in ks))
-            )
+            ks = range(a[l - 1] + 1, a[l] + 1)
+            pools.append(_jointly_monic_families(src.q(l), tuple(dst.q(k) for k in ks)))
         for families in itertools.product(*pools):
-            comps = tuple(op for fam in families for op in fam)
-            out.append(CellularOperator(src, dst, alpha, comps))
+            comps = tuple(c for fam in families for c in fam)
+            out.append(CellularOperator(src, dst, a, comps))
     out.sort()
     return tuple(out)
 
@@ -568,41 +537,30 @@ def elementary_degeneracies(shape):
     """Codimension-1 degeneracies out of the shape, each with a chosen section."""
     out = []
     n = shape.n
+    ids = _ids(shape.qs)
     for k in range(1, n + 1):
         q = shape.q(k)
         if q >= 1:
             tgt = ThetaShape(shape.qs[: k - 1] + (q - 1,) + shape.qs[k:])
             for i in range(q):
-                comps = tuple(
-                    sigma_op(i, q - 1) if j == k else identity(shape.q(j))
-                    for j in range(1, n + 1)
-                )
-                deg = CellularOperator(shape, tgt, identity(n), comps)
-                sec_comps = tuple(
-                    delta_op(i, q) if j == k else identity(shape.q(j))
-                    for j in range(1, n + 1)
-                )
-                sec = CellularOperator(tgt, shape, identity(n), sec_comps)
-                out.append((deg, sec))
+                sigma = tuple([v if v <= i else v - 1 for v in range(q + 1)])
+                deg_comps = ids[: k - 1] + (sigma,) + ids[k:]
+                sec_comps = ids[: k - 1] + (_skip(i, q),) + ids[k:]
+                deg = CellularOperator(shape, tgt, range(n + 1), deg_comps)
+                out.append((deg, CellularOperator(tgt, shape, range(n + 1), sec_comps)))
     for k in range(n):
         # collapsing objects k, k+1 drops hom k+1; codim 1 forces q_{k+1} = 0
         if shape.q(k + 1) != 0:
             continue
         tgt = ThetaShape(shape.qs[:k] + shape.qs[k + 1 :])
-        comps = []
-        for j in range(1, n):
-            l = j if j <= k else j + 1
-            comps.append(identity(shape.q(l)))
-        deg = CellularOperator(shape, tgt, sigma_op(k, n - 1), comps)
-        sec_alpha = delta_op(k + 1, n)
-        sec_comps = []
-        for j in range(sec_alpha.values[0] + 1, sec_alpha.values[-1] + 1):
-            if j == k + 1:
-                sec_comps.append(SimplicialOperator([0] * (tgt.q(k + 1) + 1), 0))
-            else:
-                sec_comps.append(identity(shape.q(j)))
-        sec = CellularOperator(tgt, shape, sec_alpha, sec_comps)
-        out.append((deg, sec))
+        sigma = tuple([v if v <= k else v - 1 for v in range(n + 1)])
+        deg = CellularOperator(shape, tgt, sigma, _ids(tgt.qs))
+        a = _skip(k + 1, n)
+        sec_comps = [
+            (0,) * (tgt.q(k + 1) + 1) if j == k + 1 else ids[j - 1]
+            for j in range(a[0] + 1, a[-1] + 1)
+        ]
+        out.append((deg, CellularOperator(tgt, shape, a, sec_comps)))
     return tuple(out)
 
 
@@ -614,11 +572,11 @@ def reedy_factor(f):
 
     Both come from ``reedy_values`` on the operator's cell data.
     """
-    sigma, deg_comps, mid_qs, alpha, face_comps = reedy_values(*operator_values(f))
+    sigma, deg_comps, mid_qs, alpha, face_comps = reedy_values(f.x, f.comps)
     mid = ThetaShape(mid_qs)
     return (
-        operator_from_values(f.src, mid, sigma, deg_comps),
-        operator_from_values(mid, f.dst, alpha, face_comps),
+        CellularOperator(f.src, mid, sigma, deg_comps),
+        CellularOperator(mid, f.dst, alpha, face_comps),
     )
 
 
@@ -630,37 +588,23 @@ def face_factors_through(f, g):
     """
     if f.dst != g.dst:
         raise ThetaError(f"{f} and {g} do not share a codomain")
-    h_alpha_vals = []
-    g_pos = {v: i for i, v in enumerate(g.horizontal.values)}
-    for v in f.horizontal.values:
-        if v not in g_pos:
-            return None
-        h_alpha_vals.append(g_pos[v])
-    h_alpha = SimplicialOperator(h_alpha_vals, g.src.n)
+    g_pos = {v: i for i, v in enumerate(g.x)}
+    if any(v not in g_pos for v in f.x):
+        return None
+    hx = tuple([g_pos[v] for v in f.x])
     comps = []
-    for j in range(h_alpha.values[0] + 1, h_alpha.values[-1] + 1):
-        i = interval_index(h_alpha.values, j)
-        ks = range(g.horizontal.values[j - 1] + 1, g.horizontal.values[j] + 1)
-        r = f.src.q(i)
-        s = g.src.q(j)
-        vals = []
-        for x in range(r + 1):
-            target = tuple(f.component_at(k).values[x] for k in ks)
-            y = next(
-                (
-                    y
-                    for y in range(s + 1)
-                    if tuple(g.component_at(k).values[y] for k in ks) == target
-                ),
-                None,
-            )
-            if y is None:
-                return None
-            vals.append(y)
-        if any(vals[x] > vals[x + 1] for x in range(r)):
+    for j in range(hx[0] + 1, hx[-1] + 1):
+        ks = range(g.x[j - 1] + 1, g.x[j] + 1)
+        r = f.src.q(interval_index(hx, j))
+        f_rows = [tuple(f.component_at(k)[y] for k in ks) for y in range(r + 1)]
+        g_rows = [tuple(g.component_at(k)[y] for k in ks) for y in range(g.src.q(j) + 1)]
+        if any(t not in g_rows for t in f_rows):
             return None
-        comps.append(SimplicialOperator(vals, s))
-    h = CellularOperator(f.src, g.src, h_alpha, comps)
+        vals = [g_rows.index(t) for t in f_rows]
+        if vals != sorted(vals):
+            return None
+        comps.append(vals)
+    h = CellularOperator(f.src, g.src, hx, comps)
     if compose_cellular(h, g) != f:
         return None
     return h
@@ -671,12 +615,9 @@ def face_factors_through(f, g):
 
 def co_dual(f):
     """Reverse 2-cells: dualize each component, keep shapes and order."""
-    return CellularOperator(
-        f.src,
-        f.dst,
-        f.horizontal,
-        tuple(op_dual_simplicial(c) for c in f.components),
-    )
+    qs = f.dst.qs[f.x[0] :]
+    comps = [tuple([q - v for v in reversed(c)]) for c, q in zip(f.comps, qs)]
+    return CellularOperator(f.src, f.dst, f.x, comps)
 
 
 def op_dual_shape(shape):
@@ -688,11 +629,12 @@ def op_dual_theta(f):
 
     Components are reindexed k |-> n - k + 1 but individually unchanged.
     """
+    n = f.dst.n
     return CellularOperator(
         op_dual_shape(f.src),
         op_dual_shape(f.dst),
-        op_dual_simplicial(f.horizontal),
-        tuple(reversed(f.components)),
+        [n - v for v in reversed(f.x)],
+        reversed(f.comps),
     )
 
 
@@ -705,23 +647,11 @@ def vertebrae(shape):
         return (identity_cellular(shape),)
     out = []
     for k in range(1, shape.n + 1):
-        edge = SimplicialOperator([k - 1, k], shape.n)
         if shape.q(k) == 0:
-            out.append(
-                CellularOperator(
-                    ThetaShape((0,)), shape, edge, (SimplicialOperator([0], 0),)
-                )
-            )
+            out.append(CellularOperator(ThetaShape((0,)), shape, (k - 1, k), ((0,),)))
         else:
             for i in range(1, shape.q(k) + 1):
-                out.append(
-                    CellularOperator(
-                        ThetaShape((1,)),
-                        shape,
-                        edge,
-                        (SimplicialOperator([i - 1, i], shape.q(k)),),
-                    )
-                )
+                out.append(CellularOperator(ThetaShape((1,)), shape, (k - 1, k), ((i - 1, i),)))
     return tuple(out)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .cellset import Cell, TruncatedCellularSet
-from .theta import ThetaError, interval_index, operator_from_values
+from .theta import CellularOperator, ThetaError, interval_index
 
 
 class Finite2Category:
@@ -239,11 +239,11 @@ class Nerve(TruncatedCellularSet):
 
     def _act(self, cell, op):
         objs, paths = cell.payload
-        alpha = op.horizontal
-        new_objs = tuple(objs[v] for v in alpha.values)
+        a = op.x
+        new_objs = tuple(objs[v] for v in a)
         new_paths = []
         for i in range(1, op.src.n + 1):
-            lo, hi = alpha.values[i - 1], alpha.values[i]
+            lo, hi = a[i - 1], a[i]
             p = op.src.q(i)
             # horizontal composite across slots lo+1..hi of vertical composites
             fs, ts = [], []
@@ -253,11 +253,9 @@ class Nerve(TruncatedCellularSet):
                     comp = op.component_at(j)
                     f_path, t_path = paths[j - 1]
                     if step == 0:
-                        piece = self.cat.id2[f_path[comp.values[0]]]
+                        piece = self.cat.id2[f_path[comp[0]]]
                     else:
-                        piece = self._vcompose(
-                            f_path, t_path, comp.values[step - 1], comp.values[step]
-                        )
+                        piece = self._vcompose(f_path, t_path, comp[step - 1], comp[step])
                     two = piece if two is None else self.cat.hcomp2[(piece, two)]
                 if two is None:
                     ident = self.cat.id1[objs[lo]]
@@ -290,7 +288,7 @@ def free_nerve_cell_to_operator(target_shape, cell):
     for k in range(objs[0] + 1, objs[-1] + 1):
         i = interval_index(objs, k)
         comps.append(tuple([f[3][k - objs[i - 1] - 1] for f in paths[i - 1][0]]))
-    return operator_from_values(cell.shape, target_shape, objs, comps)
+    return CellularOperator(cell.shape, target_shape, objs, comps)
 
 
 # -- text format ----------------------------------------------------------

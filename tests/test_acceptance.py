@@ -41,7 +41,6 @@ from theta2.boxprod import (
 )
 from theta2.cellset import Cell, Subobject, from_simplicial, representable
 from theta2.delta import (
-    SimplicialOperator,
     all_operators,
     compose_simplicial,
     identity,
@@ -301,12 +300,7 @@ def test_criterion_05_boundary_horn_coherence():
                 assert horn.contains(Cell(f.src, f)) == (not is_kth), (s, k, f)
     # in particular the codimension-2 face of the double globe chain
     s = ThetaShape((1, 1))
-    missing = CellularOperator(
-        ThetaShape((1,)),
-        s,
-        SimplicialOperator([0, 2], 2),
-        (SimplicialOperator([0, 1], 1), SimplicialOperator([0, 1], 1)),
-    )
+    missing = CellularOperator(ThetaShape((1,)), s, (0, 2), ((0, 1), (0, 1)))
     assert codim(missing) == 2
     assert not horn_h(s, 1).domain.contains(Cell(missing.src, missing))
     report(5, "leibniz boundaries and horns match closures", t0, 300)
@@ -541,12 +535,7 @@ def test_criterion_10_lifting_and_mutations():
     assert not rep_bad["checks"]["pullback"]
 
     # engineered failure: injectivity check (a folded, degenerate attachment)
-    fold = CellularOperator(
-        ThetaShape((1,)),
-        ThetaShape((1,)),
-        SimplicialOperator([0, 1], 1),
-        (SimplicialOperator([0, 0], 1),),
-    )
+    fold = CellularOperator(ThetaShape((1,)), ThetaShape((1,)), (0, 1), ((0, 0),))
     amb1 = representable(ThetaShape((1,)))
     rep_fold, _ = verify_gluing_square(
         GluingStep(

@@ -149,11 +149,8 @@ def test_gluing_square_injectivity_fails_on_folded_map():
     s = shape(1,)
     amb = representable(s)
     from theta2.theta import CellularOperator
-    from theta2.delta import SimplicialOperator
 
-    fold = CellularOperator(
-        s, s, SimplicialOperator([0, 1], 1), (SimplicialOperator([0, 0], 1),)
-    )
+    fold = CellularOperator(s, s, (0, 1), ((0, 0),))
     cell = Cell(s, fold)  # a degenerate cell of the representable
     step = GluingStep(
         ambient=amb,
@@ -170,7 +167,6 @@ def test_gluing_square_cover_fails_on_unnatural_map():
     # the edge of [1;0] goes to {0,2} but its last vertex to 1: the locus and
     # injectivity hold, yet the attachment adds vertex 2, the image of no cell
     from theta2.theta import CellularOperator
-    from theta2.delta import SimplicialOperator
 
     target = shape(0, 0)
     amb = representable(target)
@@ -178,10 +174,9 @@ def test_gluing_square_cover_fails_on_unnatural_map():
     image_of = {(0,): (0,), (1,): (1,), (0, 1): (0, 2)}
 
     def map_fn(cell):
-        values = image_of[cell.payload.horizontal.values]
-        comps = tuple(SimplicialOperator([0], 0) for _ in range(values[-1] - values[0]))
-        op = SimplicialOperator(values, target.n)
-        return Cell(cell.shape, CellularOperator(cell.shape, target, op, comps))
+        values = image_of[cell.payload.x]
+        comps = tuple((0,) for _ in range(values[-1] - values[0]))
+        return Cell(cell.shape, CellularOperator(cell.shape, target, values, comps))
 
     step = GluingStep(
         ambient=amb,
@@ -239,13 +234,12 @@ def test_pullback_case_4b_point():
     # pullback of dv^(1;0) along dv^(1;1) on [2;1,1]: generated by the
     # leading horizontal hyperface of the source and the initial point
     from theta2.anodyne.claims import face_closure
-    from theta2.delta import SimplicialOperator
     from theta2.theta import CellularOperator, horizontal_face_0
 
     s = shape(1, 1)
     pb = pullback_hyperface(s, V(1, 0), V(1, 1))
     src = vertical_hyperface(s, 1, 1).src
-    point = CellularOperator(shape(), src, SimplicialOperator([0], 2), ())
+    point = CellularOperator(shape(), src, (0,), ())
     want = face_closure(src, [horizontal_face_0(src), point])
     assert pb.same_cells(want)
 

@@ -6,7 +6,6 @@ from theta2.boxprod import (
     boundary,
     boundary_leibniz,
     box_cell_to_operator,
-    box_n,
     box_representable,
     equiv_horiz,
     equiv_vert,
@@ -96,7 +95,7 @@ def test_operator_to_box_roundtrip():
 def test_suspension_of_interval():
     # box over the arrow with the interval fiber: two points and the
     # alternating strings at every level
-    b = box_n(1, standard_simplex(1), [J], 4)
+    b = BoxCellSet(1, standard_simplex(1), [J], 4)
     assert len(b.nd_cells(shape())) == 2
     for p in range(4):
         nd = b.nd_cells(shape(p,))

@@ -4,17 +4,16 @@ import pytest
 
 from theta2.cellset import (
     Cell,
+    ProductCellSet,
     Subobject,
     TruncatedCellularSet,
     cellset_to_json,
     dump_json,
     from_simplicial,
-    product,
     representable,
     subobject_to_json,
     terminal_cellset,
 )
-from theta2.delta import SimplicialOperator
 from theta2.sset import J, boundary_sset, standard_simplex
 from theta2.theta import (
     CellularOperator,
@@ -86,7 +85,7 @@ def test_ez_decomposition_unique_presheaf_level():
     for amb in (
         representable(shape(1, 1)),
         from_simplicial(J, 3),
-        product(from_simplicial(J, 2), representable(shape(0,), 2), 2),
+        ProductCellSet(from_simplicial(J, 2), representable(shape(0,), 2), 2),
         box_representable(shape(0, 1), 3),
         vertical_extension_ambient(shape(0, 1), 1, 3),
     ):
@@ -126,7 +125,7 @@ def test_member_degeneracies_and_vertex():
     s = shape(0, 2)
     r = representable(s)
     bd = Subobject.generated(r, hyperface_cells(s))
-    vertex = CellularOperator(shape(), s, SimplicialOperator([0], 2), ())
+    vertex = CellularOperator(shape(), s, (0,), ())
     assert bd.contains(Cell(vertex.src, vertex))
     # a degeneracy of a member is a member
     from theta2.theta import elementary_degeneracies
@@ -148,10 +147,7 @@ def test_horn_misses_named_face():
         if lbl.variant == "V"
     ]
     horn = Subobject.generated(rt, keep)
-    f = CellularOperator(
-        shape(1,), t, SimplicialOperator([0, 2], 2),
-        (SimplicialOperator([0, 1], 1), SimplicialOperator([0, 1], 1)),
-    )
+    f = CellularOperator(shape(1,), t, (0, 2), ((0, 1), (0, 1)))
     assert not horn.contains(Cell(f.src, f))
 
 
@@ -224,13 +220,13 @@ def test_from_simplicial_j_counts():
 def test_product_with_terminal():
     s = shape(1,)
     r = representable(s, 2)
-    p = product(r, terminal_cellset(2), 2)
+    p = ProductCellSet(r, terminal_cellset(2), 2)
     for sh in shapes_upto(2):
         assert len(p.cells(sh)) == len(r.cells(sh))
 
 
 def test_product_with_j_edges():
-    p = product(from_simplicial(J, 2), representable(shape(0,), 2), 2)
+    p = ProductCellSet(from_simplicial(J, 2), representable(shape(0,), 2), 2)
     edge_shape = shape(0,)
     nd = [c for c in p.nd_cells(edge_shape)]
     # four edges whose representable part is the identity

@@ -1,7 +1,9 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,11 +15,10 @@ from theta2.grammar import (
     parse_shape,
     parse_shuffle,
     parse_simplicial,
-    print_cellular,
-    print_shape,
-    print_shuffle,
 )
 from theta2.theta import ThetaShape, cellular_ops, hyperfaces, shapes_upto
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # -- grammar round trips -------------------------------------------------------
@@ -25,7 +26,7 @@ from theta2.theta import ThetaShape, cellular_ops, hyperfaces, shapes_upto
 
 def test_shape_roundtrip():
     for text in ["[0]", "[1;0]", "[2;0,2]", "[3;1,0,2]"]:
-        assert print_shape(parse_shape(text)) == text
+        assert str(parse_shape(text)) == text
     with pytest.raises(ParseError):
         parse_shape("[2;0]")
     with pytest.raises(ParseError):
@@ -36,7 +37,7 @@ def test_operator_roundtrip_exhaustive_small():
     for a in shapes_upto(3):
         for b in shapes_upto(3):
             for f in cellular_ops(a, b):
-                assert parse_cellular(print_cellular(f)) == f
+                assert parse_cellular(str(f)) == f
 
 
 def test_simplicial_parse():
@@ -50,7 +51,7 @@ def test_simplicial_parse():
 
 def test_shuffle_parse_validates():
     s = parse_shuffle("<{0,0,1,2,2,3},{0,1,1,1,2,2}>")
-    assert print_shuffle(s) == "<{0,0,1,2,2,3},{0,1,1,1,2,2}>"
+    assert str(s) == "<{0,0,1,2,2,3},{0,1,1,1,2,2}>"
     with pytest.raises(ParseError):
         parse_shuffle("<{0,0},{0,0}>")
 
@@ -134,10 +135,20 @@ def test_cli_verify_all_negative_max_dim_replays_nothing():
     "argv",
     [
         ("classify", "[{1,0};!]:[1;0]->[1;0]"),
+        ("classify", "[{0,2};!,!]:[1;0]->[1;0]"),
+        ("classify", "[{0,1};!]:[1;0]->[1;1]"),
+        ("classify", "[{0,1};{0,2}]:[1;1]->[1;1]"),
         ("shuffles", "-1", "2"),
         ("verify", "alt-trivial", "--shape", "[2;1,1]", "--k", "1", "--shuffle", "<{0,0},{0,1}>"),
     ],
-    ids=["non-monotone-operator", "negative-grid", "shuffle-of-other-grid"],
+    ids=[
+        "non-monotone-operator",
+        "horizontal-out-of-range",
+        "bang-into-nonterminal",
+        "component-out-of-range",
+        "negative-grid",
+        "shuffle-of-other-grid",
+    ],
 )
 def test_cli_malformed_operator_or_shuffle_exit_2(capsys, argv):
     assert main(list(argv)) == 2
@@ -194,6 +205,36 @@ def test_cli_lift():
     code, out = run_cli("lift", "--x", "J", "--family", "inner-h", "--bound", "3")
     assert code == 0
     assert "unfilled: 0" in out
+
+
+@pytest.mark.parametrize(
+    "family, bound",
+    [("inner", "0"), ("inner", "1"), ("inner", "2"), ("inner-v", "3")],
+    ids=["inner-0", "inner-1", "inner-2", "inner-v-3"],
+)
+def test_cli_lift_without_instances_exit_2(family, bound, capsys):
+    # no horn of the family lies below the bound, so the search checks nothing
+    assert main(["lift", "--x", "J", "--family", family, "--bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert err.startswith("error: ") and family in err and f"bound {bound}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def _readme_cli_lines():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    return [line for line in block.splitlines() if line.startswith("theta2 ")]
+
+
+def test_readme_cli_examples(capsys):
+    # every example in the README's CLI block runs and exits 0
+    lines = _readme_cli_lines()
+    assert len(lines) == 15
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
 
 
 def test_cli_boundary_spine():

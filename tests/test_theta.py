@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from theta2.delta import SimplicialOperator, identity, shuffles
+from theta2.delta import shuffles
 from theta2.theta import (
     CellularOperator,
     HyperfaceLabel,
@@ -42,10 +42,6 @@ def shape(*qs):
     return ThetaShape(qs)
 
 
-def sop(values, dst):
-    return SimplicialOperator(values, dst)
-
-
 def test_shape_basics():
     assert shape().dim == 0
     assert shape(0, 2).dim == 4
@@ -65,9 +61,42 @@ def test_shapes_upto_count():
 def test_operator_wellformedness():
     s, t = shape(1,), shape(0, 2)
     with pytest.raises(ThetaError):
-        CellularOperator(s, t, sop([0, 2], 2), ())  # missing components
+        CellularOperator(s, t, (0, 2), ())  # missing components
     with pytest.raises(ThetaError):
-        CellularOperator(s, t, sop([0, 2], 2), (sop([0], 0), sop([0, 1], 1)))
+        CellularOperator(s, t, (0, 2), ((0,), (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "src, x, comps",
+    [
+        ((0, 0), (0, 2, 1), ((0,),)),
+        ((1,), (0, 3), ((0, 0), (0, 1), (0, 1))),
+        ((1,), (0, 1), ((0, 0), (0, 1))),
+        ((1,), (0, 2), ((0, 0), (0, 1, 2))),
+        ((1,), (0, 2), ((0, 0), (0, 3))),
+        ((1,), (0, 2), ((0, 0), (2, 1))),
+    ],
+    ids=[
+        "x-not-non-decreasing",
+        "x-out-of-range",
+        "wrong-component-count",
+        "component-wrong-length",
+        "component-out-of-range",
+        "component-not-non-decreasing",
+    ],
+)
+def test_operator_rejects_malformed_cell_data(src, x, comps):
+    # into [2;0,2]; each input breaks exactly one condition on the values
+    with pytest.raises(ThetaError):
+        CellularOperator(shape(*src), shape(0, 2), x, comps)
+
+
+def test_is_face_matches_faces_between():
+    for a in shapes_upto(3):
+        for b in shapes_upto(3):
+            faces = set(faces_between(a, b))
+            for f in cellular_ops(a, b):
+                assert f.is_face() == (f in faces), f
 
 
 def test_identity_and_composition_unit():
@@ -81,7 +110,7 @@ def test_identity_and_composition_unit():
 
 def test_compose_componentwise_example():
     # [d^2;id] after the identity-like inclusion equals itself
-    f = CellularOperator(shape(0,), shape(0, 2), sop([0, 1], 2), (sop([0], 0),))
+    f = CellularOperator(shape(0,), shape(0, 2), (0, 1), ((0,),))
     i = identity_cellular(shape(0,))
     assert compose_cellular(i, f) == f
 
@@ -116,11 +145,11 @@ def test_classify_table_rows():
 
 def test_codim():
     t = shape(1, 1)
-    f = CellularOperator(shape(1,), t, sop([0, 2], 2), (sop([0, 1], 1), sop([0, 1], 1)))
+    f = CellularOperator(shape(1,), t, (0, 2), ((0, 1), (0, 1)))
     assert codim(f) == 2
     assert codim(identity_cellular(t)) == 0
     assert codim(horizontal_face_0(shape(0, 2))) == 1
-    degen = CellularOperator(shape(1,), shape(0,), sop([0, 1], 1), (sop([0, 0], 0),))
+    degen = CellularOperator(shape(1,), shape(0,), (0, 1), ((0, 0),))
     with pytest.raises(ThetaError):
         codim(degen)
 
@@ -204,8 +233,8 @@ def test_outer_faces_factor_through_outer_hyperfaces():
 
 def test_face_factors_through_examples():
     t = shape(0, 2)
-    vertex0 = CellularOperator(shape(), t, sop([0], 2), ())
-    dh2_face = CellularOperator(shape(0,), t, sop([0, 1], 2), (sop([0], 0),))
+    vertex0 = CellularOperator(shape(), t, (0,), ())
+    dh2_face = CellularOperator(shape(0,), t, (0, 1), ((0,),))
     assert face_factors_through(vertex0, dh2_face) is not None
     f = horizontal_face_0(t)
     assert face_factors_through(f, f) == identity_cellular(f.src)
@@ -242,7 +271,7 @@ def test_reedy_factor_trivial_cases():
 
 
 def test_reedy_factor_example():
-    f = CellularOperator(shape(0, 1), shape(1,), sop([0, 0, 1], 1), (sop([0, 1], 1),))
+    f = CellularOperator(shape(0, 1), shape(1,), (0, 0, 1), ((0, 1),))
     deg, face = reedy_factor(f)
     assert compose_cellular(deg, face) == f
     assert face == identity_cellular(shape(1,))
@@ -332,7 +361,7 @@ def test_vertebrae():
         "[{1,2};{1,2}]:[1;1]->[2;0,2]",
     ]
     assert vertebrae(shape(1,)) == (identity_cellular(shape(1,)),)
-    assert [v.component_at(1).values for v in vertebrae(shape(3,))] == [
+    assert [v.component_at(1) for v in vertebrae(shape(3,))] == [
         (0, 1),
         (1, 2),
         (2, 3),

@@ -1,6 +1,6 @@
 import pytest
 
-from theta2.boxprod import box_n
+from theta2.boxprod import BoxCellSet
 from theta2.cellset import Cell, from_simplicial, representable
 from theta2.sset import J, standard_simplex
 from theta2.theta import (
@@ -55,25 +55,19 @@ def test_terminal_free_2cat():
 
 def _explicit_nerve_iso(s, bound):
     """Nerve cells of the free 2-category as operators, via the hom chains."""
-    from theta2.delta import SimplicialOperator
     from theta2.theta import CellularOperator
 
     n = nerve(free_cell_2cat(s), bound)
 
     def to_operator(sh, payload):
         objs, paths = payload
-        alpha = SimplicialOperator(objs, s.n)
         comps = []
-        for k in range(alpha.values[0] + 1, alpha.values[-1] + 1):
-            i = next(
-                i for i in range(1, sh.n + 1) if alpha.values[i - 1] < k <= alpha.values[i]
-            )
+        for k in range(objs[0] + 1, objs[-1] + 1):
+            i = next(i for i in range(1, sh.n + 1) if objs[i - 1] < k <= objs[i])
             fs, _ = paths[i - 1]
-            lo = alpha.values[i - 1]
-            comps.append(
-                SimplicialOperator([f[3][k - lo - 1] for f in fs], s.q(k))
-            )
-        return CellularOperator(sh, s, alpha, tuple(comps))
+            lo = objs[i - 1]
+            comps.append(tuple(f[3][k - lo - 1] for f in fs))
+        return CellularOperator(sh, s, objs, tuple(comps))
 
     return n, to_operator
 
@@ -149,7 +143,7 @@ def test_suspension_nerve_is_interval_box():
     cat = suspension_of_chaotic()
     cat.validate()
     n = nerve(cat, 4)
-    b = box_n(1, standard_simplex(1), [J], 4)
+    b = BoxCellSet(1, standard_simplex(1), [J], 4)
     for sh in shapes_upto(4):
         assert len(n.cells(sh)) == len(b.cells(sh)), sh
         assert len(n.nd_cells(sh)) == len(b.nd_cells(sh)), sh
