@@ -133,12 +133,13 @@ def verify_gluing_square(step):
     report["checks"]["injective"] = injective
 
     after = step.before.union(image_subobject(step, images))
-    added = {Cell(s, c) for s, v in after.nd.items() for c in v - step.before.nd_at(s)}
+    index = step.ambient.nd_index()
+    added = after.mask & ~step.before.mask
     attached = {img for _, img in outside}
     if compare_dim is not None:
-        added = {c for c in added if c.shape.dim <= compare_dim}
+        added &= index.upto(compare_dim)
         attached = {c for c in attached if c.shape.dim <= compare_dim}
-    report["checks"]["cover"] = added == attached
+    report["checks"]["cover"] = set(index.members(added)) == attached
     report["new_nd"] = after.nd_count() - step.before.nd_count()
 
     report["ok"] = all(report["checks"].values())

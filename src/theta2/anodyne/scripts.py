@@ -753,7 +753,7 @@ def vert_equiv(shape, k, bound):
     id_vals = tuple(range(n + 1))
     delta_vals = tuple(v for v in range(n + 1) if v != k)
 
-    edge = BoxCellSet(1, standard_simplex(1), [J], work)
+    edge = BoxCellSet(standard_simplex(1), [J], work)
 
     def edge_map(cell):
         x, comps = cell.payload

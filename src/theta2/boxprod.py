@@ -48,13 +48,11 @@ from .theta import (
 class BoxCellSet(TruncatedCellularSet):
     """Realization of a base over Delta[n] with n fiber simplicial sets."""
 
-    def __init__(self, n, base, fibers, bound):
-        if len(fibers) != n:
-            raise ThetaError(f"expected {n} fibers, got {len(fibers)}")
+    def __init__(self, base, fibers, bound):
         super().__init__(bound)
-        self.n = n
         self.base = base
         self.fibers = tuple(fibers)
+        self.n = len(self.fibers)
 
     def fiber(self, j):
         return self.fibers[j - 1]
@@ -93,12 +91,7 @@ def box_representable(shape, bound=None):
     """box(id; Delta[q1],...,Delta[qn]), isomorphic to the representable."""
     if bound is None:
         bound = shape.dim
-    return BoxCellSet(
-        shape.n,
-        standard_simplex(shape.n),
-        [standard_simplex(q) for q in shape.qs],
-        bound,
-    )
+    return BoxCellSet(standard_simplex(shape.n), [standard_simplex(q) for q in shape.qs], bound)
 
 
 def box_cell_to_operator(box, cell, shape_codomain):
@@ -126,7 +119,7 @@ class Inclusion:
         return self.domain.ambient
 
 
-def leibniz_box(n, base_pair, fiber_pairs, bound):
+def leibniz_box(base_pair, fiber_pairs, bound):
     """Leibniz box of monomorphisms: (A c W over Delta[n]; B_j c S_j).
 
     The codomain is the box of the big arguments; the domain is the union
@@ -134,15 +127,14 @@ def leibniz_box(n, base_pair, fiber_pairs, bound):
     least one small argument.
     """
     sub_base, big_base = base_pair
-    codomain = BoxCellSet(n, big_base, [big for _, big in fiber_pairs], bound)
+    codomain = BoxCellSet(big_base, [big for _, big in fiber_pairs], bound)
 
     def in_domain(cell):
         # union of the non-terminal corners: the cell must restrict into at
         # least one small argument; an uncovered fiber slot restricts vacuously
         if sub_base.contains(cell.payload[0]):
             return True
-        for j in range(1, n + 1):
-            small = fiber_pairs[j - 1][0]
+        for j, (small, _) in enumerate(fiber_pairs, 1):
             if small is None:
                 continue
             y = slot_component(cell.payload, j)
@@ -157,9 +149,7 @@ def boundary_leibniz(shape, bound=None):
     if bound is None:
         bound = shape.dim
     pairs = [(boundary_sset(q), standard_simplex(q)) for q in shape.qs]
-    inc = leibniz_box(
-        shape.n, (boundary_sset(shape.n), standard_simplex(shape.n)), pairs, bound
-    )
+    inc = leibniz_box((boundary_sset(shape.n), standard_simplex(shape.n)), pairs, bound)
     return Inclusion(inc.domain, name=f"leibniz-boundary{shape}")
 
 
@@ -169,9 +159,7 @@ def horn_h_leibniz(shape, k, bound=None):
     if bound is None:
         bound = shape.dim
     pairs = [(boundary_sset(q), standard_simplex(q)) for q in shape.qs]
-    inc = leibniz_box(
-        shape.n, (horn_sset(shape.n, k), standard_simplex(shape.n)), pairs, bound
-    )
+    inc = leibniz_box((horn_sset(shape.n, k), standard_simplex(shape.n)), pairs, bound)
     return Inclusion(inc.domain, name=f"leibniz-horn-h^{k}{shape}")
 
 
@@ -186,9 +174,7 @@ def horn_v_leibniz(shape, k, i, bound=None):
             pairs.append((horn_sset(q, i), standard_simplex(q)))
         else:
             pairs.append((boundary_sset(q), standard_simplex(q)))
-    inc = leibniz_box(
-        shape.n, (boundary_sset(shape.n), standard_simplex(shape.n)), pairs, bound
-    )
+    inc = leibniz_box((boundary_sset(shape.n), standard_simplex(shape.n)), pairs, bound)
     return Inclusion(inc.domain, name=f"leibniz-horn-v^{{{k};{i}}}{shape}")
 
 
@@ -287,7 +273,7 @@ def vertical_extension_ambient(shape, k, bound):
     if not (1 <= k <= shape.n and shape.q(k) == 0):
         raise ThetaError(f"vertical extension needs q_{k} = 0 in {shape}")
     fibers = [J if j == k else standard_simplex(q) for j, q in enumerate(shape.qs, 1)]
-    return BoxCellSet(shape.n, standard_simplex(shape.n), fibers, bound)
+    return BoxCellSet(standard_simplex(shape.n), fibers, bound)
 
 
 def slot_component(payload, slot):
@@ -336,9 +322,7 @@ def equiv_horiz(shape, bound):
 
     Codomain J x cell[n;q]; domain (diamond x cell[n;q]) u (J x boundary).
     """
-    amb = ProductCellSet(
-        from_simplicial(J, bound), representable(shape, bound), bound
-    )
+    amb = ProductCellSet(from_simplicial(J, bound), representable(shape, bound))
     bd = boundary(shape).domain
 
     def in_domain(cell):

@@ -2,25 +2,25 @@
 
 A truncated cellular set stores, for every shape of dimension <= bound,
 a finite cell set together with the contravariant operator action.
-Subobjects are represented by their nondegenerate member cells; closure,
-membership, lattice operations and pullbacks all reduce to finite
-bookkeeping through the unique nondegenerate decomposition.
 
-Representables are indexed.  The nondegenerate cells of Theta[shape] are
-exactly its faces, and a face of a face is a face, so each representable
-numbers its faces once (``Representable.face_index``) and keeps, per
-face, the bitmask of its downset.  On a representable ambient a subobject
-also carries the bitmask of its nondegenerate cells: closure ORs downsets,
-membership of a face tests one bit, and the pullback along a face reads
-bits through a cached table of face ids.  Every other ambient, and every
-degenerate cell, takes the generic path through ``nd_decompose`` and the
-action; that path is the reference the differential tests in
-``tests/test_cellset.py`` check the index against.
+Every ambient numbers its nondegenerate cells once, in (shape, payload)
+order, and keeps per cell the bitmask of its downset: the cell and every
+nondegenerate cell below it (``TruncatedCellularSet.nd_index``).  A
+downset ORs the downsets of the cell's hyperface images; an image is
+looked up by id and decomposed only when it is degenerate.  On a
+representable the nondegenerate cells are the faces, and a face of a
+face is a face, so no image is ever decomposed there.
+
+A subobject is its ambient and the bitmask of its nondegenerate members.
+Closure ORs downsets, membership tests the bit of a cell or of its
+nondegenerate part, the lattice operations are integer operations, and
+the pullback along a cell reads bits through a cached table of ids.  The
+differential tests in ``tests/test_cellset.py`` check all of this against
+a closure by decomposition of hyperface images.
 """
 
 from __future__ import annotations
 
-import json
 from collections import namedtuple
 from functools import lru_cache
 
@@ -32,7 +32,6 @@ from .theta import (
     compose_cellular,
     elementary_degeneracies,
     faces_between,
-    faces_into,
     hyperfaces,
     identity_cellular,
     reedy_factor,
@@ -41,9 +40,24 @@ from .theta import (
 
 Cell = namedtuple("Cell", ["shape", "payload"])
 
-# faces in dimension order, face -> position, and per face the bitmask of
-# its downset (the face and every face of it)
-FaceIndex = namedtuple("FaceIndex", ["faces", "ids", "down"])
+
+class NdIndex(namedtuple("NdIndex", ["cells", "ids", "down", "sizes"])):
+    """Nondegenerate cells numbered in (shape, payload) order.
+
+    ``ids`` maps a cell to its position, ``down[i]`` is the bitmask of the
+    downset of cell i, and ``sizes[d]`` counts the cells of dimension <= d.
+    """
+
+    def members(self, mask):
+        """The cells whose bits are set in the mask, in index order."""
+        cells = self.cells
+        return [cells[i] for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+    def upto(self, dim):
+        """The bitmask of the cells of dimension <= dim."""
+        if dim < 0:
+            return 0
+        return (1 << self.sizes[min(dim, len(self.sizes) - 1)]) - 1
 
 
 class TruncatedCellularSet:
@@ -60,6 +74,8 @@ class TruncatedCellularSet:
         self._nd_memo = {}
         self._cells_memo = {}
         self._nd_cells_memo = {}
+        self._nd_index = None
+        self._pullback_tables = {}
 
     def shapes(self):
         return shapes_upto(self.bound)
@@ -121,6 +137,46 @@ class TruncatedCellularSet:
     def _compute_nd_cells(self, shape):
         return tuple(c for c in self.cells(shape) if self.is_nondegenerate(Cell(shape, c)))
 
+    # -- the nondegenerate-cell index --------------------------------------
+
+    def nd_index(self):
+        """The nondegenerate cells of dimension <= bound, numbered, with downsets."""
+        if self._nd_index is None:
+            cells, sizes = [], [0] * (self.bound + 1)
+            for shape in self.shapes():  # sorted by dimension first
+                cells.extend(Cell(shape, c) for c in self.nd_cells(shape))
+                sizes[shape.dim] = len(cells)
+            ids = {cell: i for i, cell in enumerate(cells)}
+            down = []
+            for i, cell in enumerate(cells):
+                mask = 1 << i
+                for _, h in hyperfaces(cell.shape):
+                    image = self._act(cell, h)
+                    j = ids.get(image)
+                    if j is None:
+                        j = ids[self.nd_decompose(image)[0]]
+                    mask |= down[j]
+                down.append(mask)
+            self._nd_index = NdIndex(tuple(cells), ids, down, sizes)
+        return self._nd_index
+
+    def _pullback_table(self, cell):
+        """Per face g of ``representable(cell.shape)``, in index order, the id
+        of the nondegenerate part of ``cell . g``; the index size when that
+        part lies above the bound."""
+        table = self._pullback_tables.get(cell)
+        if table is None:
+            ids = self.nd_index().ids
+            table = []
+            for g in representable(cell.shape).nd_index().cells:
+                image = self._act(cell, g.payload)
+                j = ids.get(image)
+                if j is None:
+                    j = ids.get(self.nd_decompose(image)[0], len(ids))
+                table.append(j)
+            table = self._pullback_tables[cell] = tuple(table)
+        return table
+
 
 class Representable(TruncatedCellularSet):
     """The presheaf represented by a shape; cells are operators into it."""
@@ -128,8 +184,6 @@ class Representable(TruncatedCellularSet):
     def __init__(self, shape, bound=None):
         super().__init__(shape.dim if bound is None else bound)
         self.shape = shape
-        self._face_index = None
-        self._pullback_tables = {}
 
     def _compute_cells(self, shape):
         return cellular_ops(shape, self.shape)
@@ -137,32 +191,6 @@ class Representable(TruncatedCellularSet):
     def _compute_nd_cells(self, shape):
         # the nondegenerate cells are the faces, sorted like ``cells``
         return faces_between(shape, self.shape)
-
-    def face_index(self):
-        """The faces of dimension <= bound, numbered, with their downsets."""
-        if self._face_index is None:
-            faces = tuple(f for f in faces_into(self.shape) if f.src.dim <= self.bound)
-            ids = {f: i for i, f in enumerate(faces)}
-            down = []
-            for i, f in enumerate(faces):
-                mask = 1 << i
-                for _, h in hyperfaces(f.src):
-                    mask |= down[ids[compose_cellular(h, f)]]
-                down.append(mask)
-            self._face_index = FaceIndex(faces, ids, down)
-        return self._face_index
-
-    def _pullback_table(self, face):
-        """Ids of ``face ∘ g`` for the faces g of ``representable(face.src)``."""
-        table = self._pullback_tables.get(face)
-        if table is None:
-            ids = self.face_index().ids
-            table = tuple(
-                ids[compose_cellular(g, face)]
-                for g in representable(face.src).face_index().faces
-            )
-            self._pullback_tables[face] = table
-        return table
 
     def _act(self, cell, op):
         return Cell(op.src, compose_cellular(op, cell.payload))
@@ -213,12 +241,10 @@ def from_simplicial(sset, bound):
 
 
 class ProductCellSet(TruncatedCellularSet):
-    def __init__(self, left, right, bound=None):
-        if bound is None:
-            bound = min(left.bound, right.bound)
-        if bound > min(left.bound, right.bound):
-            raise ThetaError("product bound exceeds a factor's truncation")
-        super().__init__(bound)
+    """The product, truncated at the smaller of the factors' bounds."""
+
+    def __init__(self, left, right):
+        super().__init__(min(left.bound, right.bound))
         self.left = left
         self.right = right
 
@@ -245,45 +271,43 @@ def terminal_cellset(bound):
 
 
 class Subobject:
-    """A cellular subset, stored by its nondegenerate members per shape.
+    """A cellular subset: the bitmask of its nondegenerate members over the
+    ambient's ``nd_index``.
 
-    On a representable ambient ``_mask`` caches the same members as a
-    bitmask over the ambient's face index.
+    ``Subobject(ambient, nd)`` takes the members as shape -> payloads.
+    Binary operations need both sides in the same ambient.
     """
 
-    __slots__ = ("ambient", "nd", "_mask")
+    __slots__ = ("ambient", "mask")
 
     def __init__(self, ambient, nd):
+        ids = ambient.nd_index().ids
+        mask = 0
+        for shape, payloads in nd.items():
+            for payload in payloads:
+                i = ids.get(Cell(shape, payload))
+                if i is None:
+                    raise ThetaError(
+                        f"{payload} at {shape} is not a nondegenerate cell of the ambient"
+                    )
+                mask |= 1 << i
         self.ambient = ambient
-        self.nd = {s: frozenset(v) for s, v in nd.items() if v}
-        self._mask = None
+        self.mask = mask
 
     @classmethod
-    def _from_mask(cls, ambient, mask):
-        faces = ambient.face_index().faces
-        nd = {}
-        for i, bit in enumerate(reversed(f"{mask:b}")):
-            if bit == "1":
-                nd.setdefault(faces[i].src, []).append(faces[i])
-        sub = cls(ambient, nd)
-        sub._mask = mask
+    def _of(cls, ambient, mask):
+        sub = object.__new__(cls)
+        sub.ambient = ambient
+        sub.mask = mask
         return sub
-
-    def _bits(self):
-        """The member bitmask over the face index of a representable ambient."""
-        if self._mask is None:
-            # cells above the truncation bound are not indexed; no face tests them
-            ids = self.ambient.face_index().ids
-            self._mask = sum(1 << ids[f] for v in self.nd.values() for f in v if f in ids)
-        return self._mask
 
     @classmethod
     def empty(cls, ambient):
-        return cls(ambient, {})
+        return cls._of(ambient, 0)
 
     @classmethod
     def full(cls, ambient):
-        return cls(ambient, {s: ambient.nd_cells(s) for s in ambient.shapes()})
+        return cls._of(ambient, (1 << len(ambient.nd_index().cells)) - 1)
 
     @classmethod
     def where(cls, ambient, pred):
@@ -291,77 +315,49 @@ class Subobject:
 
         This selects cells; it does not close them under faces.
         """
-        return cls(
-            ambient,
-            {
-                s: [c for c in ambient.nd_cells(s) if pred(Cell(s, c))]
-                for s in ambient.shapes()
-            },
-        )
+        bits = "".join("1" if pred(cell) else "0" for cell in ambient.nd_index().cells)
+        return cls._of(ambient, int(bits[::-1] or "0", 2))
 
     @classmethod
     def generated(cls, ambient, cells):
         """Smallest action-closed subset containing the given cells."""
-        cells = list(cells)
+        index = ambient.nd_index()
+        mask = 0
         for cell in cells:
             if not ambient.contains_cell(cell):
                 raise ThetaError(f"generator {cell} is not a cell of the ambient")
-        if isinstance(ambient, Representable):
-            index = ambient.face_index()
-            mask = 0
-            for cell in cells:
-                i = index.ids.get(cell.payload)
+            i = index.ids.get(cell)
+            if i is None:
+                i = index.ids.get(ambient.nd_decompose(cell)[0])
                 if i is None:
-                    i = index.ids.get(ambient.nd_decompose(cell)[0].payload)
-                    if i is None:  # a face above the bound is not indexed
-                        break
-                mask |= index.down[i]
-            else:
-                return cls._from_mask(ambient, mask)
-        # generic closure: decompose each hyperface image of each new cell
-        nd = {}
-        stack = []
-        for cell in cells:
-            base, _ = ambient.nd_decompose(cell)
-            if base.payload not in nd.setdefault(base.shape, set()):
-                nd[base.shape].add(base.payload)
-                stack.append(base)
-        while stack:
-            cell = stack.pop()
-            for _, face in hyperfaces(cell.shape):
-                lower, _ = ambient.nd_decompose(ambient.act(cell, face))
-                bucket = nd.setdefault(lower.shape, set())
-                if lower.payload not in bucket:
-                    bucket.add(lower.payload)
-                    stack.append(lower)
-        return cls(ambient, nd)
-
-    def _face_id(self, cell):
-        """The face-index id of a face cell of a representable ambient, else None."""
-        if not isinstance(self.ambient, Representable):
-            return None
-        i = self.ambient.face_index().ids.get(cell.payload)
-        if i is None or cell.payload.src != cell.shape:
-            return None
-        return i
+                    raise ThetaError(
+                        f"generator {cell} lies above the truncation bound {ambient.bound}"
+                    )
+            mask |= index.down[i]
+        return cls._of(ambient, mask)
 
     def contains(self, cell):
-        i = self._face_id(cell)
-        if i is not None:
-            return bool(self._bits() >> i & 1)
-        base, _ = self.ambient.nd_decompose(cell)
-        return base.payload in self.nd.get(base.shape, frozenset())
+        ids = self.ambient.nd_index().ids
+        i = ids.get(cell)
+        if i is None:
+            i = ids.get(self.ambient.nd_decompose(cell)[0])
+            if i is None:  # a nondegenerate part above the bound is never a member
+                return False
+        return bool(self.mask >> i & 1)
 
-    def nd_at(self, shape):
-        return self.nd.get(shape, frozenset())
+    @property
+    def nd(self):
+        """The nondegenerate members by shape: shape -> frozenset of payloads."""
+        nd = {}
+        for cell in self.iter_nd():
+            nd.setdefault(cell.shape, []).append(cell.payload)
+        return {s: frozenset(v) for s, v in nd.items()}
 
     def iter_nd(self):
-        for shape in sorted(self.nd):
-            for payload in sorted(self.nd[shape]):
-                yield Cell(shape, payload)
+        return iter(self.ambient.nd_index().members(self.mask))
 
     def nd_count(self):
-        return sum(len(v) for v in self.nd.values())
+        return self.mask.bit_count()
 
     def _check_ambient(self, other):
         if self.ambient is not other.ambient:
@@ -369,60 +365,39 @@ class Subobject:
 
     def union(self, other):
         self._check_ambient(other)
-        nd = {s: set(v) for s, v in self.nd.items()}
-        for s, v in other.nd.items():
-            nd.setdefault(s, set()).update(v)
-        return Subobject(self.ambient, nd)
+        return Subobject._of(self.ambient, self.mask | other.mask)
 
     def intersection(self, other):
         self._check_ambient(other)
-        nd = {}
-        for s in set(self.nd) & set(other.nd):
-            common = self.nd[s] & other.nd[s]
-            if common:
-                nd[s] = common
-        return Subobject(self.ambient, nd)
+        return Subobject._of(self.ambient, self.mask & other.mask)
 
     def issubset(self, other):
         self._check_ambient(other)
-        return all(v <= other.nd.get(s, frozenset()) for s, v in self.nd.items())
+        return not self.mask & ~other.mask
 
     def same_cells(self, other):
-        return self.nd == other.nd
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subobject)
-            and self.ambient is other.ambient
-            and self.nd == other.nd
-        )
-
-    def __hash__(self):
-        return hash((id(self.ambient), frozenset(self.nd.items())))
+        self._check_ambient(other)
+        return self.mask == other.mask
 
     def restricted(self, max_dim):
-        return Subobject(
-            self.ambient, {s: v for s, v in self.nd.items() if s.dim <= max_dim}
-        )
+        return Subobject._of(self.ambient, self.mask & self.ambient.nd_index().upto(max_dim))
 
     def equals_up_to(self, other, max_dim):
         self._check_ambient(other)
-        return self.restricted(max_dim).nd == other.restricted(max_dim).nd
+        return not (self.mask ^ other.mask) & self.ambient.nd_index().upto(max_dim)
 
     def is_full(self):
         return self.same_cells(Subobject.full(self.ambient))
 
     def pullback_along(self, cell):
         """Pull the subobject back along a cell, landing in a representable."""
-        amb = representable(cell.shape)
-        if self._face_id(cell) is not None:
-            # bit j of the result is bit table[j] of this subobject
-            table = self.ambient._pullback_table(cell.payload)
-            width = len(self.ambient.face_index().faces)
-            bits = f"{self._bits():0{width}b}"[::-1]
-            hits = "".join(bits[t] for t in reversed(table))
-            return Subobject._from_mask(amb, int(hits or "0", 2))
-        return Subobject.where(amb, lambda c: self.contains(self.ambient.act(cell, c.payload)))
+        table = self.ambient._pullback_table(cell)
+        # bit j of the result is bit table[j] of this subobject; the padding
+        # bit past the index answers for parts above the bound
+        width = len(self.ambient.nd_index().cells) + 1
+        bits = f"{self.mask:0{width}b}"[::-1]
+        hits = "".join(bits[t] for t in reversed(table))
+        return Subobject._of(representable(cell.shape), int(hits or "0", 2))
 
     def __repr__(self):
         return f"Subobject({self.ambient!r}, {self.nd_count()} nd cells)"
@@ -437,48 +412,12 @@ def payload_id(payload):
     return str(payload)
 
 
-def cellset_to_json(x):
-    doc = {"bound": x.bound, "shapes": [], "action": "representable"}
-    for shape in x.shapes():
-        doc["shapes"].append(
-            {"shape": str(shape), "cells": [payload_id(c) for c in x.cells(shape)]}
-        )
-    if isinstance(x, Representable):
-        return doc
-    table = []
-    for shape in x.shapes():
-        # generating operators INTO each shape: its hyperfaces, plus the
-        # elementary degeneracies of the one-higher shapes that land here
-        gens = [op for _, op in hyperfaces(shape)]
-        for upper in x.shapes():
-            if upper.dim != shape.dim + 1:
-                continue
-            gens.extend(
-                deg for deg, _ in elementary_degeneracies(upper) if deg.dst == shape
-            )
-        for payload in x.cells(shape):
-            for op in gens:
-                res = x.act(Cell(shape, payload), op)
-                table.append(
-                    {
-                        "cell": payload_id(payload),
-                        "op": str(op),
-                        "result": payload_id(res.payload),
-                    }
-                )
-    doc["action"] = table
-    return doc
-
-
 def subobject_to_json(sub):
+    nd = sub.nd
     return {
         "bound": sub.ambient.bound,
         "shapes": [
-            {"shape": str(s), "cells": sorted(payload_id(c) for c in sub.nd_at(s))}
-            for s in sorted(sub.nd)
+            {"shape": str(s), "cells": sorted(payload_id(c) for c in nd[s])}
+            for s in sorted(nd)
         ],
     }
-
-
-def dump_json(doc):
-    return json.dumps(doc, indent=2, sort_keys=True)

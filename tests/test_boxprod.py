@@ -95,7 +95,7 @@ def test_operator_to_box_roundtrip():
 def test_suspension_of_interval():
     # box over the arrow with the interval fiber: two points and the
     # alternating strings at every level
-    b = BoxCellSet(1, standard_simplex(1), [J], 4)
+    b = BoxCellSet(standard_simplex(1), [J], 4)
     assert len(b.nd_cells(shape())) == 2
     for p in range(4):
         nd = b.nd_cells(shape(p,))
@@ -119,7 +119,7 @@ KERNEL_BOXES = {
         )
         for qs, k in [((0,), 1), ((0, 0), 1), ((0, 0), 2), ((0, 1), 1), ((0, 2), 1)]
     },
-    "interval-edge": lambda: BoxCellSet(1, standard_simplex(1), [J], 6),
+    "interval-edge": lambda: BoxCellSet(standard_simplex(1), [J], 6),
     **{f"leibniz{s}": lambda s=s: boundary_leibniz(s).codomain for s in shapes_upto(4)},
 }
 
@@ -127,7 +127,7 @@ KERNEL_BOXES = {
 @pytest.mark.parametrize("name", sorted(KERNEL_BOXES))
 def test_box_reedy_kernel_matches_trial_search(name):
     box = KERNEL_BOXES[name]()
-    trial = TrialBox(box.n, box.base, box.fibers, box.bound)
+    trial = TrialBox(box.base, box.fibers, box.bound)
     for sh in box.shapes():
         for payload in box.cells(sh):
             cell = Cell(sh, payload)
@@ -260,9 +260,7 @@ def test_equiv_vert_domain_is_leibniz(qs, k):
         (DIAMOND_POINT, J) if j == k else (boundary_sset(q), standard_simplex(q))
         for j, q in enumerate(s.qs, 1)
     ]
-    inc = leibniz_box(
-        s.n, (boundary_sset(s.n), standard_simplex(s.n)), pairs, bound
-    )
+    inc = leibniz_box((boundary_sset(s.n), standard_simplex(s.n)), pairs, bound)
     assert dict(psi.nd) == dict(inc.domain.nd)
 
 
@@ -287,9 +285,7 @@ def test_pushout_product_smoke():
     a = shape(0, 0)
     b = shape(0,)
     bound = 3
-    amb = ProductCellSet(
-        representable(a, bound), representable(b, bound), bound
-    )
+    amb = ProductCellSet(representable(a, bound), representable(b, bound))
     horn = horn_h(a, 1).domain
     bd = boundary(b).domain
 

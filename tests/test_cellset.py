@@ -7,14 +7,13 @@ from theta2.cellset import (
     ProductCellSet,
     Subobject,
     TruncatedCellularSet,
-    cellset_to_json,
-    dump_json,
     from_simplicial,
     representable,
     subobject_to_json,
     terminal_cellset,
 )
-from theta2.sset import J, boundary_sset, standard_simplex
+from theta2.boxprod import equiv_horiz, vertical_extension_ambient
+from theta2.sset import J, SimplicialSet, boundary_sset, standard_simplex
 from theta2.theta import (
     CellularOperator,
     ThetaError,
@@ -85,7 +84,7 @@ def test_ez_decomposition_unique_presheaf_level():
     for amb in (
         representable(shape(1, 1)),
         from_simplicial(J, 3),
-        ProductCellSet(from_simplicial(J, 2), representable(shape(0,), 2), 2),
+        ProductCellSet(from_simplicial(J, 2), representable(shape(0,), 2)),
         box_representable(shape(0, 1), 3),
         vertical_extension_ambient(shape(0, 1), 1, 3),
     ):
@@ -220,13 +219,13 @@ def test_from_simplicial_j_counts():
 def test_product_with_terminal():
     s = shape(1,)
     r = representable(s, 2)
-    p = ProductCellSet(r, terminal_cellset(2), 2)
+    p = ProductCellSet(r, terminal_cellset(2))
     for sh in shapes_upto(2):
         assert len(p.cells(sh)) == len(r.cells(sh))
 
 
 def test_product_with_j_edges():
-    p = ProductCellSet(from_simplicial(J, 2), representable(shape(0,), 2), 2)
+    p = ProductCellSet(from_simplicial(J, 2), representable(shape(0,), 2))
     edge_shape = shape(0,)
     nd = [c for c in p.nd_cells(edge_shape)]
     # four edges whose representable part is the identity
@@ -243,25 +242,95 @@ def test_generator_outside_ambient_rejected():
 
 def test_serialization_shapes():
     r = representable(shape(1,))
-    doc = cellset_to_json(r)
-    assert doc["action"] == "representable"
-    assert any(e["shape"] == "[1;1]" for e in doc["shapes"])
-    jc = from_simplicial(J, 2)
-    doc = cellset_to_json(jc)
-    assert isinstance(doc["action"], list) and doc["action"]
-    # deterministic output
-    assert dump_json(doc) == dump_json(cellset_to_json(from_simplicial(J, 2)))
     sub = Subobject.generated(r, hyperface_cells(shape(1,)))
     sdoc = subobject_to_json(sub)
     assert sdoc["shapes"]
 
 
-# -- the face index against the generic path ---------------------------------
+# -- the index against a reference closure ---------------------------------
+
+
+def ref_contains(ambient, nd, cell):
+    """Membership through the cell's nondegenerate part."""
+    base, _ = ambient.nd_decompose(cell)
+    return base.payload in nd.get(base.shape, frozenset())
+
+
+def ref_closure(ambient, cells):
+    """The closure by search: decompose each hyperface image of each new cell."""
+    nd, stack = {}, []
+
+    def add(cell):
+        base, _ = ambient.nd_decompose(cell)
+        bucket = nd.setdefault(base.shape, set())
+        if base.payload not in bucket:
+            bucket.add(base.payload)
+            stack.append(base)
+
+    for cell in cells:
+        add(cell)
+    while stack:
+        cell = stack.pop()
+        for _, h in hyperfaces(cell.shape):
+            add(ambient.act(cell, h))
+    return {sh: frozenset(v) for sh, v in nd.items()}
+
+
+def ref_pullback(ambient, nd, cell):
+    """The faces f of the cell's shape with ``cell . f`` a member."""
+    out = {}
+    for sh in shapes_upto(cell.shape.dim):
+        hits = frozenset(
+            f for f in faces_between(sh, cell.shape)
+            if ref_contains(ambient, nd, ambient.act(cell, f))
+        )
+        if hits:
+            out[sh] = hits
+    return out
+
+
+def ref_union(a, b):
+    return {sh: a.get(sh, frozenset()) | b.get(sh, frozenset()) for sh in set(a) | set(b)}
+
+
+def ref_intersection(a, b):
+    common = {sh: a[sh] & b[sh] for sh in set(a) & set(b)}
+    return {sh: v for sh, v in common.items() if v}
+
+
+def ref_issubset(a, b):
+    return all(v <= b.get(sh, frozenset()) for sh, v in a.items())
+
+
+def _assert_matches_reference(amb, ref, generators, pull_cells, probe_cells):
+    """Closures, pullbacks, membership and the lattice operations on ``amb``
+    against the reference over ``ref``, the same cellular set; returns the
+    number of pullbacks compared."""
+    pullbacks = 0
+    subs = []
+    for gens in generators:
+        got = Subobject.generated(amb, gens)
+        want = ref_closure(ref, gens)
+        assert got.nd == want, gens
+        for cell in pull_cells:
+            assert got.pullback_along(cell).nd == ref_pullback(ref, want, cell), (gens, cell)
+            pullbacks += 1
+        # a subobject built from its cells has the same bitmask
+        rebuilt = Subobject(amb, want)
+        assert rebuilt.mask == got.mask
+        for cell in probe_cells:
+            assert got.contains(cell) == ref_contains(ref, want, cell), (gens, cell)
+        subs.append((got, want))
+    for a, a_nd in subs:
+        for b, b_nd in subs:
+            assert a.union(b).nd == ref_union(a_nd, b_nd)
+            assert a.intersection(b).nd == ref_intersection(a_nd, b_nd)
+            assert a.issubset(b) == ref_issubset(a_nd, b_nd)
+    return pullbacks
 
 
 class OperatorOracle(TruncatedCellularSet):
-    """Theta[shape] without the face index: every subobject operation on it
-    takes the generic path, with the generic nondegenerate decomposition."""
+    """Theta[shape] decomposed by the generic trial-degeneracy search."""
 
     def __init__(self, shape, bound=None):
         super().__init__(shape.dim if bound is None else bound)
@@ -272,10 +341,6 @@ class OperatorOracle(TruncatedCellularSet):
 
     def _act(self, cell, op):
         return Cell(op.src, compose_cellular(op, cell.payload))
-
-    def contains_cell(self, cell):
-        # as for representables, the truncation bound limits the cell sets only
-        return cell.payload.src == cell.shape and cell.payload.dst == self.shape
 
 
 def _assert_index_matches_oracle(s, bound=None, generators=None):
@@ -290,19 +355,7 @@ def _assert_index_matches_oracle(s, bound=None, generators=None):
         generators += [hfs[:i] + hfs[i + 1 :] for i in range(len(hfs))]
     faces = [Cell(f.src, f) for f in faces_into(s) if f.src.dim <= rep.bound]
     ops = [Cell(sh, op) for sh in rep.shapes() for op in cellular_ops(sh, s)]
-    pullbacks = 0
-    for gens in generators:
-        got = Subobject.generated(rep, gens)
-        want = Subobject.generated(oracle, gens)
-        assert got.nd == want.nd, (s, gens)
-        for cell in faces:
-            assert got.pullback_along(cell).nd == want.pullback_along(cell).nd, (s, cell)
-            pullbacks += 1
-        # a subobject built from its cells derives its bitmask from them
-        rebuilt = Subobject(rep, want.nd)
-        for cell in ops:
-            assert got.contains(cell) == rebuilt.contains(cell) == want.contains(cell), (s, cell)
-    return pullbacks
+    return _assert_matches_reference(rep, oracle, generators, faces, ops)
 
 
 def test_face_index_matches_generic_path_up_to_dim_4():
@@ -313,17 +366,73 @@ def test_face_index_matches_generic_path_up_to_dim_4():
 def test_face_index_matches_generic_path_off_the_shape_bound():
     # above the shape's dimension, as the horizontal equivalence ambient has it
     _assert_index_matches_oracle(shape(0, 0), bound=4)
-    # below it: cells above the bound are not indexed and close generically
+    # below it: cells above the bound are not indexed and do not generate
     s = shape(1, 0)
     _assert_index_matches_oracle(s, bound=2)
     top = Cell(s, identity_cellular(s))
-    _assert_index_matches_oracle(s, bound=2, generators=[[top], hyperface_cells(s) + [top]])
+    for gens in ([top], hyperface_cells(s) + [top]):
+        with pytest.raises(ThetaError):
+            Subobject.generated(representable(s, 2), gens)
+
+
+class Sphere2(SimplicialSet):
+    """Delta[2] with its boundary collapsed to the point (-1, ..., -1).
+
+    Every face of the 2-simplex is degenerate, so its downset reaches the
+    point only through a nondegenerate decomposition.
+    """
+
+    name = "S2"
+
+    def level(self, n):
+        simplices = itertools.combinations_with_replacement(range(3), n + 1)
+        onto = [x for x in simplices if set(x) == {0, 1, 2}]
+        return ((-1,) * (n + 1), *onto)
+
+    def act(self, x, alpha):
+        y = super().act(x, alpha)
+        return y if set(y) == {0, 1, 2} else (-1,) * len(y)
+
+
+# the ambients besides representables that replays close, pull back and test
+# in, and a sphere whose hyperface images are all degenerate
+INDEXED_AMBIENTS = {
+    "vertical[2;0,0]k1": lambda: vertical_extension_ambient(shape(0, 0), 1, 4),
+    "J x [1;0]": lambda: equiv_horiz(shape(0,), 3).codomain,
+    "J": lambda: from_simplicial(J, 3),
+    "S2": lambda: from_simplicial(Sphere2(), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEXED_AMBIENTS))
+def test_index_matches_reference_on_other_ambients(name):
+    amb = INDEXED_AMBIENTS[name]()
+    nd = [Cell(sh, c) for sh in amb.shapes() for c in amb.nd_cells(sh)]
+    assert list(amb.nd_index().cells) == nd
+    generators = [[c] for c in nd]
+    generators += [[Cell(sh, c) for c in amb.nd_cells(sh)] for sh in amb.shapes()]
+    every_cell = [Cell(sh, c) for sh in amb.shapes() for c in amb.cells(sh)]
+    assert len(every_cell) > len(nd)
+    assert _assert_matches_reference(amb, amb, generators, nd, every_cell) == len(
+        generators
+    ) * len(nd)
+
+
+def test_generator_above_bound_rejected():
+    s = shape(1, 0)
+    with pytest.raises(ThetaError):
+        Subobject.generated(representable(s, 2), [Cell(s, identity_cellular(s))])
+    big = vertical_extension_ambient(shape(0, 0), 1, 3)
+    cell = next(Cell(sh, c) for sh in big.shapes() if sh.dim == 3 for c in big.nd_cells(sh))
+    with pytest.raises(ThetaError):
+        Subobject.generated(vertical_extension_ambient(shape(0, 0), 1, 2), [cell])
 
 
 def test_face_index_downsets():
     s = shape(1, 1)
-    index = representable(s).face_index()
-    assert len(index.faces) == len(faces_into(s))
-    for i, f in enumerate(index.faces):
-        below = {g for g in index.faces if face_factors_through(g, f) is not None}
-        assert {index.faces[j] for j in range(len(index.faces)) if index.down[i] >> j & 1} == below
+    index = representable(s).nd_index()
+    faces = [c.payload for c in index.cells]
+    assert len(faces) == len(faces_into(s))
+    for i, f in enumerate(faces):
+        below = {g for g in faces if face_factors_through(g, f) is not None}
+        assert {faces[j] for j in range(len(faces)) if index.down[i] >> j & 1} == below

@@ -96,13 +96,14 @@ from tracer import Tracer
 
 tracer = Tracer()
 tracer.install([])
-from theta2.anodyne import lift_check, replay, spine_anodyne, vert_equiv
+from theta2.anodyne import horiz_equiv, lift_check, replay, spine_anodyne, vert_equiv
 from theta2.cellset import from_simplicial
 from theta2.sset import J
 from theta2.theta import ThetaShape
 
 assert replay(vert_equiv(ThetaShape((0, 1)), 1, 3))["ok"]
 assert replay(spine_anodyne(ThetaShape((0, 0))))["ok"]
+assert replay(horiz_equiv(ThetaShape((0,)), 2))["ok"]
 assert lift_check(from_simplicial(J, 3), "inner", 3)["unfilled"] == 0
 for key, count in sorted(tracer.calls.items()):
     print(key, count)
@@ -113,7 +114,10 @@ _TRACED_KEYS = (
     "boxprod.BoxCellSet._act",
     "boxprod.BoxCellSet._compute_cells",
     "cellset.FromSimplicial._act",
+    "cellset.ProductCellSet._act",
+    "cellset.Subobject.contains",
     "cellset.Subobject.generated",
+    "cellset.Subobject.pullback_along",
     "cellset.TruncatedCellularSet.act",
     "cellset.TruncatedCellularSet.nd_cells",
     "cellset.Representable.nd_decompose",

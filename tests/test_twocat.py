@@ -143,7 +143,7 @@ def test_suspension_nerve_is_interval_box():
     cat = suspension_of_chaotic()
     cat.validate()
     n = nerve(cat, 4)
-    b = BoxCellSet(1, standard_simplex(1), [J], 4)
+    b = BoxCellSet(standard_simplex(1), [J], 4)
     for sh in shapes_upto(4):
         assert len(n.cells(sh)) == len(b.cells(sh)), sh
         assert len(n.nd_cells(sh)) == len(b.nd_cells(sh)), sh
