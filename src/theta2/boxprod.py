@@ -35,12 +35,11 @@ from .theta import (
     CellularOperator,
     HyperfaceLabel,
     ThetaError,
-    ThetaShape,
     act_values,
     hyperface_operator,
     hyperfaces,
     interval_index,
-    reedy_values,
+    interval_rows,
     vertebrae,
 )
 
@@ -69,18 +68,9 @@ class BoxCellSet(TruncatedCellularSet):
     def _act(self, cell, op):
         return Cell(op.src, act_values(op, *cell.payload))
 
-    def nd_decompose(self, cell):
-        """The Reedy factorization read off the cell data, memoised."""
-        hit = self._nd_memo.get(cell)
-        if hit is None:
-            sigma, deg_comps, mid_qs, x, comps = reedy_values(*cell.payload)
-            mid = ThetaShape(mid_qs)
-            deg = CellularOperator(cell.shape, mid, sigma, deg_comps)
-            hit = self._nd_memo[cell] = (Cell(mid, (x, comps)), deg)
-        return hit
-
-    def is_nondegenerate(self, cell):
-        return reedy_values(*cell.payload)[2] == cell.shape.qs
+    def _runs(self, cell):
+        x, comps = cell.payload
+        return x, interval_rows(x, comps)
 
     def __repr__(self):
         fibs = ",".join(f.name for f in self.fibers)

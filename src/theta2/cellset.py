@@ -1,7 +1,10 @@
 """Dimension-truncated cellular sets and their subobjects.
 
 A truncated cellular set stores, for every shape of dimension <= bound,
-a finite cell set together with the contravariant operator action.
+a finite cell set together with the contravariant operator action, and
+gives each cell's runs (``_runs``: a label per vertex and the rows over
+each interval), off which ``nd_decompose`` reads its Reedy factorisation
+with ``theta.reedy_runs``.
 
 Every ambient numbers its nondegenerate cells once, in (shape, payload)
 order, and keeps per cell the bitmask of its downset: the cell and every
@@ -23,18 +26,21 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
+from operator import ne
 
 from .sset import standard_simplex
 from .theta import (
     CellularOperator,
     ThetaError,
+    ThetaShape,
     cellular_ops,
     compose_cellular,
-    elementary_degeneracies,
     faces_between,
     hyperfaces,
     identity_cellular,
+    interval_rows,
     reedy_factor,
+    reedy_runs,
     shapes_upto,
 )
 
@@ -106,26 +112,25 @@ class TruncatedCellularSet:
 
     # -- nondegenerate decomposition ---------------------------------------
 
+    def _runs(self, cell):
+        raise NotImplementedError
+
     def nd_decompose(self, cell):
         """The unique (nondegenerate cell, degeneracy) pair presenting the cell."""
-        key = cell
-        hit = self._nd_memo.get(key)
-        if hit is not None:
-            return hit
-        result = None
-        for deg, sec in elementary_degeneracies(cell.shape):
-            lower = self.act(cell, sec)
-            if self.act(lower, deg) == cell:
-                nd, rest = self.nd_decompose(lower)
-                result = (nd, compose_cellular(deg, rest))
-                break
-        if result is None:
-            result = (cell, identity_cellular(cell.shape))
-        self._nd_memo[key] = result
-        return result
+        hit = self._nd_memo.get(cell)
+        if hit is None:
+            sigma, deg_comps, mid_qs, starts, firsts = reedy_runs(*self._runs(cell))
+            mid = ThetaShape(mid_qs)
+            nd = cell
+            if mid_qs != cell.shape.qs:
+                nd = self._act(cell, CellularOperator(mid, cell.shape, starts, firsts))
+            hit = self._nd_memo[cell] = (nd, CellularOperator(cell.shape, mid, sigma, deg_comps))
+        return hit
 
     def is_nondegenerate(self, cell):
-        return self.nd_decompose(cell)[0] == cell
+        labels, families = self._runs(cell)
+        # equal neighbouring labels already collapse an interval
+        return all(map(ne, labels, labels[1:])) and reedy_runs(labels, families)[2] == cell.shape.qs
 
     def nd_cells(self, shape):
         if shape not in self._nd_cells_memo:
@@ -203,6 +208,9 @@ class Representable(TruncatedCellularSet):
             and cell.payload.dst == self.shape
         )
 
+    def _runs(self, cell):
+        return cell.payload.x, interval_rows(cell.payload.x, cell.payload.comps)
+
     def nd_decompose(self, cell):
         deg, face = reedy_factor(cell.payload)
         return Cell(face.src, face), deg
@@ -232,6 +240,10 @@ class FromSimplicial(TruncatedCellularSet):
     def _act(self, cell, op):
         return Cell(op.src, self.sset.act(cell.payload, op.horizontal))
 
+    def _runs(self, cell):
+        # simplices act by reindexing: runs of equal vertices are degeneracies
+        return cell.payload, tuple([((0,) * (q + 1),) for q in cell.shape.qs])
+
     def __repr__(self):
         return f"FromSimplicial({self.sset!r}, bound={self.bound})"
 
@@ -258,6 +270,13 @@ class ProductCellSet(TruncatedCellularSet):
         nx = self.left.act(Cell(cell.shape, x), op).payload
         ny = self.right.act(Cell(cell.shape, y), op).payload
         return Cell(op.src, (nx, ny))
+
+    def _runs(self, cell):
+        # a pair collapses exactly what both of its factors collapse
+        x, y = cell.payload
+        x_labels, x_rows = self.left._runs(Cell(cell.shape, x))
+        y_labels, y_rows = self.right._runs(Cell(cell.shape, y))
+        return tuple(zip(x_labels, y_labels)), tuple([a + b for a, b in zip(x_rows, y_rows)])
 
     def __repr__(self):
         return f"ProductCellSet({self.left!r}, {self.right!r}, bound={self.bound})"

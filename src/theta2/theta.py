@@ -9,7 +9,8 @@ A morphism is stored as its cell data: a cell at [m;p] is a pair
 (x, comps), where x is the value tuple of the horizontal part and comps
 holds one value tuple per covered index, in order.  Operators, box cells
 and free-nerve cells all use this convention, so the value kernels below
-act, compose and Reedy-factor once for all of them.
+act, compose and Reedy-factor once for all of them.  Reedy factorisation
+reads runs (``reedy_runs``), which every cellular set gives for its cells.
 """
 
 from __future__ import annotations
@@ -101,33 +102,50 @@ def act_values(op, x, comps):
     return nx, tuple(ncomps)
 
 
-def reedy_values(x, comps):
-    """Reedy factorization of the cell data (x, comps).
+def interval_rows(x, comps):
+    """The components of the cell data (x, comps), one tuple per interval of x."""
+    x0 = x[0]
+    return [comps[a - x0 : b - x0] for a, b in itertools.pairwise(x)]
 
-    Returns (sigma, deg_comps, mid_qs, alpha, face_comps): the data of the
-    degeneracy onto [w; mid_qs] and of the nondegenerate cell there.
-    Runs of equal vertices, and runs of equal joint component tuples over
-    an interval, collapse; runs also factor non-monotone data like (0,1,0).
+
+def reedy_runs(labels, families):
+    """The Reedy degeneracy of a cell, read off its runs.
+
+    ``labels`` has one entry per vertex of [n], and ``families[l - 1]`` the
+    rows (of length q_l + 1) over interval l.  Equal neighbouring labels
+    collapse an interval horizontally, runs of equal joint columns
+    vertically.  Returns (sigma, deg_comps, mid_qs, starts, firsts): the
+    degeneracy onto [w; mid_qs] and its section through the first vertex
+    of each run and the first column of each vertical run.
     """
-    sigma, alpha = [], []
-    for v in x:
-        if not alpha or alpha[-1] != v:
-            alpha.append(v)
-        sigma.append(len(alpha) - 1)
-    deg_comps, mid_qs, face_comps = [], [], []
-    for l in range(1, len(x)):
-        family = comps[x[l - 1] - x[0] : x[l] - x[0]]
-        if not family:
-            continue  # the interval collapses horizontally
-        runs, deg = [], []
-        for t in zip(*family):
-            if not runs or runs[-1] != t:
-                runs.append(t)
-            deg.append(len(runs) - 1)
-        deg_comps.append(tuple(deg))
-        mid_qs.append(len(runs) - 1)
-        face_comps.extend(zip(*runs))
-    return tuple(sigma), tuple(deg_comps), tuple(mid_qs), tuple(alpha), tuple(face_comps)
+    sigma, starts, deg_comps, firsts = [0], [0], [], []
+    collapsed = 0
+    for l in range(1, len(labels)):
+        if labels[l - 1] == labels[l]:
+            collapsed += 1
+        else:
+            first, deg, prev = [], [], None
+            for t, col in enumerate(zip(*families[l - 1])):
+                if col != prev:
+                    first.append(t)
+                    prev = col
+                deg.append(len(first) - 1)
+            starts.append(l)
+            deg_comps.append(tuple(deg))
+            firsts += [(0,) * len(first)] * collapsed + [tuple(first)]
+            collapsed = 0
+        sigma.append(len(starts) - 1)
+    mid_qs = tuple([deg[-1] for deg in deg_comps])
+    return tuple(sigma), tuple(deg_comps), mid_qs, tuple(starts), tuple(firsts)
+
+
+def reedy_values(x, comps):
+    """Reedy factorization of the cell data (x, comps) by ``reedy_runs``: the
+    data (sigma, deg_comps, mid_qs, alpha, face_comps) of both factors."""
+    families = interval_rows(x, comps)
+    sigma, deg_comps, mid_qs, starts, firsts = reedy_runs(x, families)
+    face = [tuple([r[t] for t in firsts[k - 1]]) for k in starts[1:] for r in families[k - 1]]
+    return sigma, deg_comps, mid_qs, tuple([x[v] for v in starts]), tuple(face)
 
 
 def _is_map(values, m, n):
@@ -305,7 +323,7 @@ class HyperfaceLabel:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "shuffle", shuffle)
-        object.__setattr__(self, "_hash", hash((variant, k, i, shuffle)))
+        object.__setattr__(self, "_hash", hash(self._key()))
 
     def __setattr__(self, name, value):
         raise AttributeError("HyperfaceLabel is immutable")
@@ -321,12 +339,13 @@ class HyperfaceLabel:
     def __hash__(self):
         return self._hash
 
-    def __lt__(self, other):
-        def key(lbl):
-            shf = lbl.shuffle.alpha.values if lbl.shuffle is not None else ()
-            return (lbl.variant, lbl.k or 0, lbl.i or 0, shf)
+    def _key(self):
+        # free of None, whose hash (before Python 3.12) differs by process
+        shf = self.shuffle.alpha.values if self.shuffle is not None else ()
+        return (self.variant, self.k or 0, self.i or 0, shf)
 
-        return key(self) < key(other)
+    def __lt__(self, other):
+        return self._key() < other._key()
 
     def __repr__(self):
         return f"HyperfaceLabel({self.variant!r}, k={self.k}, i={self.i}, shuffle={self.shuffle!r})"

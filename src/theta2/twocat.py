@@ -188,7 +188,9 @@ def suspension_of_chaotic():
 
 
 class Nerve(TruncatedCellularSet):
-    """Cells at [n;q]: an object chain plus per-slot 2-cell paths."""
+    """Cells at [n;q]: an object chain plus per-slot 2-cell paths.  Its runs
+    give each hom one row counting its non-identity 2-cells, and a label
+    that steps unless the hom reduces to its identity 1-cell."""
 
     def __init__(self, cat, bound):
         super().__init__(bound)
@@ -268,6 +270,16 @@ class Nerve(TruncatedCellularSet):
                     ts.append(two)
             new_paths.append((tuple(fs), tuple(ts)))
         return Cell(op.src, (new_objs, tuple(new_paths)))
+
+    def _runs(self, cell):
+        objs, paths = cell.payload
+        labels, rows = [0], []
+        for a, (fs, ts) in zip(objs, paths):
+            steps = (t != self.cat.id2[f] for f, t in zip(fs, ts))
+            row = tuple(itertools.accumulate(steps, initial=0))
+            labels.append(labels[-1] + (row[-1] > 0 or fs[0] != self.cat.id1[a]))
+            rows.append((row,))
+        return labels, rows
 
     def __repr__(self):
         return f"Nerve(bound={self.bound})"

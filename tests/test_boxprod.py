@@ -1,4 +1,5 @@
 import pytest
+from oracles import TrialSearch
 
 from theta2.boxprod import (
     BoxCellSet,
@@ -24,7 +25,7 @@ from theta2.boxprod import (
     upsilon_subobject,
     vertical_extension_ambient,
 )
-from theta2.cellset import Cell, Subobject, TruncatedCellularSet, representable
+from theta2.cellset import Cell, Subobject, representable
 from theta2.delta import SimplicialOperator, shuffles
 from theta2.sset import DIAMOND, FILLED, J, standard_simplex
 from theta2.theta import (
@@ -102,11 +103,8 @@ def test_suspension_of_interval():
         assert len(nd) == 2
 
 
-class TrialBox(BoxCellSet):
-    """The same box, decomposed by the generic trial-degeneracy search."""
-
-    nd_decompose = TruncatedCellularSet.nd_decompose
-    is_nondegenerate = TruncatedCellularSet.is_nondegenerate
+class TrialBox(TrialSearch, BoxCellSet):
+    """The same box, decomposed by the trial-degeneracy search."""
 
 
 # the representable boxes, the interval-replay ambients, the interval edge
@@ -131,7 +129,7 @@ def test_box_reedy_kernel_matches_trial_search(name):
     for sh in box.shapes():
         for payload in box.cells(sh):
             cell = Cell(sh, payload)
-            want = TruncatedCellularSet.nd_decompose(trial, cell)
+            want = trial.nd_decompose(cell)
             assert box.nd_decompose(cell) == want, (sh, payload)
         assert box.nd_cells(sh) == trial.nd_cells(sh), sh
 

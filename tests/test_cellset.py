@@ -30,6 +30,15 @@ from theta2.theta import (
     vertebrae,
     vertical_hyperface,
 )
+from theta2.twocat import (
+    Finite2Category,
+    chaotic_2cat,
+    free_cell_2cat,
+    nerve,
+    suspension_of_chaotic,
+)
+
+from oracles import TrialOracle, TrialSearch
 
 
 def shape(*qs):
@@ -329,8 +338,8 @@ def _assert_matches_reference(amb, ref, generators, pull_cells, probe_cells):
     return pullbacks
 
 
-class OperatorOracle(TruncatedCellularSet):
-    """Theta[shape] decomposed by the generic trial-degeneracy search."""
+class OperatorOracle(TrialSearch, TruncatedCellularSet):
+    """Theta[shape] decomposed by the trial-degeneracy search."""
 
     def __init__(self, shape, bound=None):
         super().__init__(shape.dim if bound is None else bound)
@@ -436,3 +445,62 @@ def test_face_index_downsets():
     for i, f in enumerate(faces):
         below = {g for g in faces if face_factors_through(g, f) is not None}
         assert {faces[j] for j in range(len(faces)) if index.down[i] >> j & 1} == below
+
+
+def idempotent_2cat():
+    """One object, an idempotent endo 1-cell e, and on each 1-cell one
+    idempotent non-identity endo 2-cell, so not locally thin.
+
+    A 2-cell is named by its 1-cell and a flag, 1 when it is not an
+    identity; both compositions OR the flags.
+    """
+    one_cells = {"1": ("*", "*"), "e": ("*", "*")}
+    two_cells = {f + flag: (f, f) for f in one_cells for flag in "01"}
+    hcomp1 = {(g, f): "1" if g == f == "1" else "e" for g in one_cells for f in one_cells}
+    vcomp = {(b, a): a[0] + max(a[1], b[1]) for b in two_cells for a in two_cells if a[0] == b[0]}
+    hcomp2 = {(b, a): hcomp1[(b[0], a[0])] + max(a[1], b[1]) for b in two_cells for a in two_cells}
+    id2 = {f: f + "0" for f in one_cells}
+    cat = Finite2Category(("*",), one_cells, two_cells, {"*": "1"}, id2, hcomp1, vcomp, hcomp2)
+    assert cat.validate()
+    return cat
+
+
+def _product_with_j(s):
+    return ProductCellSet(from_simplicial(J, 4), representable(s, 4))
+
+
+# every ambient class that reads its runs off a payload other than an
+# operator's or a box cell's: simplicial sets, products and nerves
+RUNS_AMBIENTS = {
+    "J": lambda: from_simplicial(J, 4),
+    "S2": lambda: from_simplicial(Sphere2(), 4),
+    "terminal": lambda: terminal_cellset(3),
+    **{
+        f"J x {s}": lambda s=s: _product_with_j(s)
+        for s in (shape(0), shape(0, 0), shape(1), shape(2))
+    },
+    "J x (J x [1;0])": lambda: ProductCellSet(from_simplicial(J, 4), _product_with_j(shape(0))),
+    "chaotic(2)": lambda: nerve(chaotic_2cat(), 4),
+    "chaotic(3)": lambda: nerve(chaotic_2cat("abc"), 4),
+    "suspension": lambda: nerve(suspension_of_chaotic(), 4),
+    **{
+        f"free{s}": lambda s=s: nerve(free_cell_2cat(s), 4)
+        for s in (shape(1), shape(0, 1), shape(2))
+    },
+    "idempotent": lambda: nerve(idempotent_2cat(), 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS_AMBIENTS))
+def test_runs_kernel_matches_trial_search(name):
+    amb = RUNS_AMBIENTS[name]()
+    oracle = TrialOracle(amb)
+    degenerate = 0
+    for sh in amb.shapes():
+        for payload in amb.cells(sh):
+            cell = Cell(sh, payload)
+            want = oracle.nd_decompose(cell)
+            assert amb.nd_decompose(cell) == want, cell
+            assert amb.is_nondegenerate(cell) == (want[0] == cell), cell
+            degenerate += want[0] != cell
+    assert degenerate

@@ -89,6 +89,18 @@ def test_no_unreferenced_top_level_names():
     assert unreferenced == []
 
 
+def test_no_trial_degeneracy_search_in_src():
+    # every ambient reads its degeneracies off its runs (theta.reedy_runs);
+    # the search over elementary degeneracies is the tests' oracle only
+    calls = [
+        f"{p.relative_to(PACKAGE)}:{node.lineno}"
+        for p in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Call) and "elementary_degeneracies" in _names([node.func])
+    ]
+    assert calls == []
+
+
 _TRACED_RUN = """
 import sys
 sys.path.insert(0, "perfbench")
@@ -119,7 +131,9 @@ _TRACED_KEYS = (
     "cellset.Subobject.generated",
     "cellset.Subobject.pullback_along",
     "cellset.TruncatedCellularSet.act",
+    "cellset.TruncatedCellularSet.is_nondegenerate",
     "cellset.TruncatedCellularSet.nd_cells",
+    "cellset.TruncatedCellularSet.nd_decompose",
     "cellset.Representable.nd_decompose",
     "sset.SimplicialSet.act",
     "theta.compose_cellular",

@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import theta2
 from theta2.delta import shuffles
 from theta2.theta import (
     CellularOperator,
@@ -406,3 +411,31 @@ def test_inert_face_spine_pullback():
                 assert any(
                     face_factors_through(img, w) is not None for w in vertebrae(s)
                 )
+
+
+_LABEL_SET_ORDER = """
+from theta2.theta import ThetaShape, inner_hyperface_labels
+for qs in ((0, 0, 0, 0, 0), (2, 2), (1, 0, 1)):
+    print([str(lbl) for lbl in frozenset(inner_hyperface_labels(ThetaShape(qs)))])
+"""
+
+
+def test_label_sets_iterate_alike_in_every_process():
+    # a label hashes no None, whose hash before Python 3.12 is its address
+    env = {
+        **os.environ,
+        "PYTHONHASHSEED": "0",
+        "PYTHONPATH": str(Path(theta2.__file__).parents[1]),
+    }
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", _LABEL_SET_ORDER],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+        ).stdout
+        for _ in range(2)
+    ]
+    assert runs[0] == runs[1]
+    assert len(runs[0].splitlines()) == 3
