@@ -54,7 +54,7 @@ from ..theta import (
     vertical_hyperface,
 )
 from .admissible import is_admissible, shuffle_slice
-from .gluing import GluingStep, image_subobject, verify_gluing_square
+from .gluing import GluingStep, verify_gluing_square
 
 
 @dataclass
@@ -113,7 +113,7 @@ def _run_steps(ambient, y, steps, out_steps):
         if step.cell is not None and step.bound is not None:
             excess = step.cell.shape.dim - step.bound
         if excess > 0:
-            y = y.union(image_subobject(step))
+            y = y.union(Subobject.generated(ambient, [step.cell]))
             out_steps.append(
                 {"index": idx, "label": step.label, "margin_only": True}
             )
@@ -194,9 +194,11 @@ def _horn_step(label, cell, k, i=None, shf=None, bound=None):
     horizontal horn at ``(k; shf)`` when ``shf`` is given, and the k-th
     horizontal horn otherwise.  ``bound`` is the step's truncation bound: the
     runner glues a cell at the bound as an uncertified tail and a cell above
-    it as a margin attachment.
+    it as a margin attachment, which carries no locus.
     """
     shape = cell.shape
+    if bound is not None and shape.dim > bound:
+        return GluingStep(label=label, cell=cell, expected_w=None, bound=bound)
     meta = {"family": "horn-h", "shape": str(shape), "k": k}
     if i is not None:
         meta["family"], horn = "horn-v", horn_v(shape, k, i)

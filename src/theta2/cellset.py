@@ -15,9 +15,10 @@ representable the nondegenerate cells are the faces, and a face of a
 face is a face, so no image is ever decomposed there.
 
 A subobject is its ambient and the bitmask of its nondegenerate members.
-Closure ORs downsets, membership tests the bit of a cell or of its
-nondegenerate part, the lattice operations are integer operations, and
-the pullback along a cell reads bits through a cached table of ids.  The
+Closure ORs downsets, membership tests the bit of a cell's ``nd_id`` (the
+id of its nondegenerate part, or the index size above the bound), the
+lattice operations are integer operations, and a pullback reads bits
+through a table of ``nd_id``s, cached per cell for ``pullback_along``.  The
 differential tests in ``tests/test_cellset.py`` check all of this against
 a closure by decomposition of hyperface images.
 """
@@ -81,6 +82,7 @@ class TruncatedCellularSet:
         self._cells_memo = {}
         self._nd_cells_memo = {}
         self._nd_index = None
+        self._nd_ids = None
         self._pullback_tables = {}
 
     def shapes(self):
@@ -151,35 +153,36 @@ class TruncatedCellularSet:
             for shape in self.shapes():  # sorted by dimension first
                 cells.extend(Cell(shape, c) for c in self.nd_cells(shape))
                 sizes[shape.dim] = len(cells)
-            ids = {cell: i for i, cell in enumerate(cells)}
+            # the ids are complete before the downsets, which look images up
+            self._nd_ids = {cell: i for i, cell in enumerate(cells)}
             down = []
             for i, cell in enumerate(cells):
                 mask = 1 << i
                 for _, h in hyperfaces(cell.shape):
-                    image = self._act(cell, h)
-                    j = ids.get(image)
-                    if j is None:
-                        j = ids[self.nd_decompose(image)[0]]
-                    mask |= down[j]
+                    mask |= down[self.nd_id(self._act(cell, h))]
                 down.append(mask)
-            self._nd_index = NdIndex(tuple(cells), ids, down, sizes)
+            self._nd_index = NdIndex(tuple(cells), self._nd_ids, down, sizes)
         return self._nd_index
 
+    def nd_id(self, cell):
+        """The index id of the cell's nondegenerate part; the index size when
+        that part lies above the bound."""
+        ids = self._nd_ids
+        if ids is None:
+            ids = self.nd_index().ids
+        j = ids.get(cell)
+        if j is None:
+            j = ids.get(self.nd_decompose(cell)[0], len(ids))
+        return j
+
     def _pullback_table(self, cell):
-        """Per face g of ``representable(cell.shape)``, in index order, the id
-        of the nondegenerate part of ``cell . g``; the index size when that
-        part lies above the bound."""
+        """Per face g of ``representable(cell.shape)``, in index order, ``nd_id(cell . g)``."""
         table = self._pullback_tables.get(cell)
         if table is None:
-            ids = self.nd_index().ids
-            table = []
-            for g in representable(cell.shape).nd_index().cells:
-                image = self._act(cell, g.payload)
-                j = ids.get(image)
-                if j is None:
-                    j = ids.get(self.nd_decompose(image)[0], len(ids))
-                table.append(j)
-            table = self._pullback_tables[cell] = tuple(table)
+            table = self._pullback_tables[cell] = tuple(
+                self.nd_id(self._act(cell, g.payload))
+                for g in representable(cell.shape).nd_index().cells
+            )
         return table
 
 
@@ -345,24 +348,17 @@ class Subobject:
         for cell in cells:
             if not ambient.contains_cell(cell):
                 raise ThetaError(f"generator {cell} is not a cell of the ambient")
-            i = index.ids.get(cell)
-            if i is None:
-                i = index.ids.get(ambient.nd_decompose(cell)[0])
-                if i is None:
-                    raise ThetaError(
-                        f"generator {cell} lies above the truncation bound {ambient.bound}"
-                    )
+            i = ambient.nd_id(cell)
+            if i == len(index.cells):
+                raise ThetaError(
+                    f"generator {cell} lies above the truncation bound {ambient.bound}"
+                )
             mask |= index.down[i]
         return cls._of(ambient, mask)
 
     def contains(self, cell):
-        ids = self.ambient.nd_index().ids
-        i = ids.get(cell)
-        if i is None:
-            i = ids.get(self.ambient.nd_decompose(cell)[0])
-            if i is None:  # a nondegenerate part above the bound is never a member
-                return False
-        return bool(self.mask >> i & 1)
+        # a nondegenerate part above the bound reads the padding bit, never set
+        return bool(self.mask >> self.ambient.nd_id(cell) & 1)
 
     @property
     def nd(self):
@@ -408,15 +404,20 @@ class Subobject:
     def is_full(self):
         return self.same_cells(Subobject.full(self.ambient))
 
-    def pullback_along(self, cell):
-        """Pull the subobject back along a cell, landing in a representable."""
-        table = self.ambient._pullback_table(cell)
+    def pullback(self, source, table):
+        """Pull the subobject back along a map out of ``source``, given as
+        ``table``: per nondegenerate source cell, in index order, the
+        ``nd_id`` of its image."""
         # bit j of the result is bit table[j] of this subobject; the padding
         # bit past the index answers for parts above the bound
         width = len(self.ambient.nd_index().cells) + 1
         bits = f"{self.mask:0{width}b}"[::-1]
         hits = "".join(bits[t] for t in reversed(table))
-        return Subobject._of(representable(cell.shape), int(hits or "0", 2))
+        return Subobject._of(source, int(hits or "0", 2))
+
+    def pullback_along(self, cell):
+        """Pull the subobject back along a cell, landing in a representable."""
+        return self.pullback(representable(cell.shape), self.ambient._pullback_table(cell))
 
     def __repr__(self):
         return f"Subobject({self.ambient!r}, {self.nd_count()} nd cells)"

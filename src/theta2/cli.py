@@ -279,6 +279,9 @@ def _script_from_args(args):
 def cmd_verify(args):
     if args.script == "claims":
         rep = run_claims_suite(max_n=args.max_n, max_q=args.max_q)
+        if not rep["total"]:
+            # an empty verification certifies nothing
+            raise ThetaError(f"no claim to check with --max-n {args.max_n} --max-q {args.max_q}")
         rep["report_name"] = "claims"
         lines = [f"claims checked: {rep['total']}", f"failures: {len(rep['failures'])}"]
         _emit(args, rep, lines)
@@ -313,6 +316,8 @@ def _replay_lines(rep):
 
 
 def _verify_all(args):
+    if not shapes_upto(args.max_dim):
+        raise ThetaError(f"no shape has dimension <= {args.max_dim}")
     failures = []
     count = 0
     for shape in shapes_upto(args.max_dim):

@@ -1,7 +1,12 @@
 """Reference implementations that the library's fast paths are tested against."""
 
-from theta2.cellset import TruncatedCellularSet
-from theta2.theta import compose_cellular, elementary_degeneracies, identity_cellular
+from theta2.cellset import Cell, Subobject, TruncatedCellularSet
+from theta2.theta import (
+    compose_cellular,
+    elementary_degeneracies,
+    faces_into,
+    identity_cellular,
+)
 
 
 class TrialSearch:
@@ -47,3 +52,113 @@ class TrialOracle(TrialSearch, TruncatedCellularSet):
 
     def _act(self, cell, op):
         return self.ambient._act(cell, op)
+
+
+# -- gluing squares by the where/contains path ----------------------------------
+#
+# The library checks a square by one table of nondegenerate ids per step
+# (``anodyne.gluing``); this is the earlier path it replaced: the pullback
+# by ``Subobject.where`` and ``contains``, the outside images by ``act`` and
+# ``is_nondegenerate``, and the cover by comparing cell sets.
+
+
+def _map_images(step):
+    """Each nondegenerate source cell of a map step with its image, in source order."""
+    src = step.source
+    return [
+        (cell, step.map_fn(cell))
+        for shape in src.shapes()
+        for cell in (Cell(shape, c) for c in src.nd_cells(shape))
+    ]
+
+
+def _source_pullback(step, images):
+    """The attachment locus computed by brute force."""
+    if step.cell is not None:
+        return step.before.pullback_along(step.cell)
+    image_of = dict(images)
+    return Subobject.where(step.source, lambda c: step.before.contains(image_of[c]))
+
+
+def _outside_images(step, images):
+    """Images of the nondegenerate source cells outside the expected locus."""
+    if step.cell is None:
+        return [(c, img) for c, img in images if not step.expected_w.contains(c)]
+    return [
+        (Cell(f.src, f), step.ambient.act(step.cell, f))
+        for f in faces_into(step.cell.shape)
+        if not step.expected_w.contains(Cell(f.src, f))
+    ]
+
+
+def _image_subobject(step, images=None):
+    """The closure of the attached cell, or of the map's images."""
+    if step.cell is not None:
+        return Subobject.generated(step.ambient, [step.cell])
+    return Subobject.generated(step.ambient, [img for _, img in images])
+
+
+def reference_square(step):
+    """Run the three checks; returns a report dict with an ``ok`` verdict."""
+    report = {
+        "label": step.label,
+        "horn": step.horn,
+        "checks": {},
+    }
+    if step.cell is not None:
+        report["cell"] = str(step.cell.payload)
+        report["shape"] = str(step.cell.shape)
+        trivial = step.before.contains(step.cell)
+    else:
+        report["cell"] = "(map)"
+        report["shape"] = None
+        trivial = False
+    report["trivial"] = trivial
+
+    images = None if step.cell is not None else _map_images(step)
+    w = _source_pullback(step, images)
+    compare_dim = step.bound if step.cell is None else None
+    if compare_dim is None:
+        report["checks"]["pullback"] = w.same_cells(step.expected_w)
+    else:
+        report["checks"]["pullback"] = w.equals_up_to(step.expected_w, compare_dim)
+        report["compare_dim"] = compare_dim
+
+    outside = _outside_images(step, images)
+    injective = True
+    seen = {}
+    for src_cell, img in outside:
+        if not step.ambient.is_nondegenerate(img):
+            injective = False
+            report.setdefault("violations", []).append(
+                f"degenerate image of {src_cell.payload}"
+            )
+            break
+        key = (img.shape, img.payload)
+        if key in seen:
+            injective = False
+            report.setdefault("violations", []).append(
+                f"collision {src_cell.payload} vs {seen[key]}"
+            )
+            break
+        if step.before.contains(img):
+            injective = False
+            report.setdefault("violations", []).append(
+                f"image of outside cell {src_cell.payload} already present"
+            )
+            break
+        seen[key] = src_cell.payload
+    report["checks"]["injective"] = injective
+
+    after = step.before.union(_image_subobject(step, images))
+    index = step.ambient.nd_index()
+    added = after.mask & ~step.before.mask
+    attached = {img for _, img in outside}
+    if compare_dim is not None:
+        added &= index.upto(compare_dim)
+        attached = {c for c in attached if c.shape.dim <= compare_dim}
+    report["checks"]["cover"] = set(index.members(added)) == attached
+    report["new_nd"] = after.nd_count() - step.before.nd_count()
+
+    report["ok"] = all(report["checks"].values())
+    return report, after

@@ -2,6 +2,7 @@ import pytest
 
 from theta2.anodyne import (
     GluingStep,
+    scripts,
     is_admissible,
     lift_check,
     pullback_hyperface,
@@ -24,6 +25,7 @@ from theta2.cellset import Cell, Subobject, from_simplicial, representable
 from theta2.delta import shuffles
 from theta2.sset import J
 from theta2.theta import (
+    CellularOperator,
     HyperfaceLabel,
     ThetaError,
     ThetaShape,
@@ -32,9 +34,12 @@ from theta2.theta import (
     hyperfaces,
     inner_hyperface_labels,
     outer_hyperface_order,
+    shapes_upto,
     vertical_hyperface,
 )
 from theta2.twocat import chaotic_2cat, free_cell_2cat, nerve, suspension_of_chaotic
+
+from oracles import reference_square
 
 
 def shape(*qs):
@@ -217,6 +222,127 @@ def test_gluing_square_maps_each_source_cell_once():
     for idx, step in enumerate(map_steps):
         nd = [Cell(s, c) for s in step.source.shapes() for c in step.source.nd_cells(s)]
         assert {cell: calls.get((idx, cell)) for cell in nd} == dict.fromkeys(nd, 1)
+
+
+# -- the square path against the where/contains reference ---------------------
+
+
+def _engineered_steps():
+    """One step per injectivity violation, by the message's first words."""
+    edge = shape(0,)
+    amb = representable(edge)
+    # each vertex of [1;0] goes to itself, the edge to the degenerate edge at 0
+    image_of = {(0,): (0,), (1,): (1,), (0, 1): (0, 0)}
+
+    def map_fn(cell):
+        values = image_of[cell.payload.x]
+        comps = tuple((0,) for _ in range(values[-1] - values[0]))
+        return Cell(cell.shape, CellularOperator(cell.shape, edge, values, comps))
+
+    square = representable(shape(1,))
+    fold = CellularOperator(shape(1,), shape(1,), (0, 1), ((0, 0),))
+    return {
+        "degenerate image": GluingStep(
+            ambient=amb,
+            before=Subobject.empty(amb),
+            expected_w=Subobject.empty(amb),
+            source=amb,
+            map_fn=map_fn,
+            label="degenerate edge",
+        ),
+        "collision": GluingStep(
+            ambient=square,
+            before=Subobject.empty(square),
+            expected_w=Subobject.empty(square),
+            cell=Cell(shape(1,), fold),
+            label="fold",
+        ),
+        "already present": GluingStep(
+            ambient=amb,
+            before=Subobject.full(amb),
+            expected_w=Subobject.empty(amb),
+            cell=amb.top_cell(),
+            label="empty locus into a full subobject",
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [
+        ("degenerate image", "degenerate image of [{0,1};!]:[1;0]->[1;0]"),
+        ("collision", "collision [{0,1};{1}]:[1;0]->[1;1] vs [{0,1};{0}]:[1;0]->[1;1]"),
+        ("already present", "image of outside cell [{0};]:[0]->[1;0] already present"),
+    ],
+)
+def test_gluing_square_names_injectivity_violation(kind, message):
+    report, _ = verify_gluing_square(_engineered_steps()[kind])
+    assert not report["checks"]["injective"] and not report["ok"]
+    assert report["violations"] == [message]
+
+
+def test_gluing_square_rejects_image_above_bound():
+    # the top cell of [1;1] lies above the bound of its bound-1 representable
+    amb = representable(shape(1,), 1)
+    step = GluingStep(
+        ambient=amb,
+        before=Subobject.empty(amb),
+        expected_w=Subobject.empty(representable(shape(1,))),
+        cell=amb.top_cell(),
+        label="above the bound",
+    )
+    with pytest.raises(ThetaError):
+        verify_gluing_square(step)
+
+
+def _assert_matches_reference(step):
+    report, after = verify_gluing_square(step)
+    ref_report, ref_after = reference_square(step)
+    assert report == ref_report, step.label
+    assert after.ambient is ref_after.ambient and after.mask == ref_after.mask, step.label
+    return report, after
+
+
+def _differential_scripts(family):
+    shapes = shapes_upto(4)
+    if family == "spine_anodyne":
+        return [spine_anodyne(s) for s in shapes]
+    if family == "sigma_s":
+        return [
+            sigma_s(s, outer_hyperface_order(s)[:r])
+            for s in shapes
+            for r in range(len(outer_hyperface_order(s)) + 1)
+        ]
+    if family == "upsilon_full":
+        return [upsilon_full(s, labels) for s in shapes for labels in enumerate_admissible_sets(s)]
+    return [
+        vert_equiv(shape(0, 0), 1, 3),
+        vert_equiv(shape(0, 1), 1, 3),
+        horiz_equiv(shape(0,), 3),
+    ]
+
+
+@pytest.mark.parametrize("family", ["spine_anodyne", "sigma_s", "upsilon_full", "equiv"])
+def test_gluing_square_matches_reference_on_replays(family, monkeypatch):
+    # every square a replay checks, against the where/contains path it replaced
+    steps = []
+
+    def checked(step):
+        steps.append(step)
+        return _assert_matches_reference(step)
+
+    monkeypatch.setattr(scripts, "verify_gluing_square", checked)
+    for script in _differential_scripts(family):
+        assert replay(script)["ok"]
+    assert steps
+    if family == "equiv":
+        # the edge step of both vert_equiv replays and the face_map step of [2;0,0]
+        assert sum(step.cell is None for step in steps) == 3
+
+
+def test_gluing_square_matches_reference_on_engineered_steps():
+    for step in _engineered_steps().values():
+        assert not _assert_matches_reference(step)[0]["ok"]
 
 
 # -- pullback oracles ----------------------------------------------------------

@@ -124,11 +124,26 @@ def test_cli_verify_all_reports_no_bound():
     assert doc["shapes"] == 2 and doc["failures"] == []
 
 
-def test_cli_verify_all_negative_max_dim_replays_nothing():
-    code, out = run_cli("--format", "json", "verify", "all", "--max-dim", "-1")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["shapes"] == 0 and doc["failures"] == []
+def test_cli_verify_all_negative_max_dim_replays_nothing(capsys):
+    # an empty verification certifies nothing, so it exits 2 as lift does
+    assert main(["--format", "json", "verify", "all", "--max-dim", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "dimension <= -1" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--max-n", "1"), ("--max-q", "-1")],
+    ids=["max-n-1", "max-q-negative"],
+)
+def test_cli_verify_claims_empty_grid_exit_2(argv, capsys):
+    assert main(["verify", "claims", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no claim to check")
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize(

@@ -101,6 +101,17 @@ def test_no_trial_degeneracy_search_in_src():
     assert calls == []
 
 
+def test_gluing_squares_read_one_table():
+    # a square reads its images' ids off one table per step; acting on each
+    # face again, or testing images for degeneracy, is the tests' reference
+    calls = [
+        f"anodyne/gluing.py:{node.lineno}"
+        for node in ast.walk(ast.parse((PACKAGE / "anodyne" / "gluing.py").read_text()))
+        if isinstance(node, ast.Call) and {"act", "is_nondegenerate"} & _names([node.func])
+    ]
+    assert calls == []
+
+
 _TRACED_RUN = """
 import sys
 sys.path.insert(0, "perfbench")
@@ -139,6 +150,7 @@ _TRACED_KEYS = (
     "theta.compose_cellular",
     "theta.reedy_factor",
     "anodyne.gluing.verify_gluing_square",
+    "anodyne.gluing.image_subobject",
     "anodyne.lifting.find_filler",
 )
 
