@@ -293,12 +293,9 @@ def spine_anodyne(shape):
             _face_step("glue dh^n face along lower spine", dh_n, spine_subobject(dh_n.src))
         )
         steps.append(_face_step("glue dh^0 face along primed stage", dh_0, prime))
-        pending = sorted(
-            (f for f in faces_into(shape) if {0, 1, n} <= set(f.x)),
-            key=lambda f: (f.src.dim, f),
-        )
-        for f in pending:
-            steps.append(_horn_step(f"glue {f} along horn-h^1", Cell(f.src, f), 1))
+        for f in faces_into(shape):
+            if {0, 1, n} <= set(f.x):
+                steps.append(_horn_step(f"glue {f} along horn-h^1", Cell(f.src, f), 1))
     return ReplayScript(
         name="spine_anodyne",
         params=params,
@@ -333,44 +330,25 @@ def _sigma_case_t(shape, label):
     def p(l):
         return src.q(l)
 
-    t = set()
     if label.variant == HyperfaceLabel.V and label.i == 0:
         k = label.k
         t = {_vlabel(l, 0) for l in range(1, k) if p(l) >= 1}
-    elif label.variant == HyperfaceLabel.H0:
-        t = {_vlabel(k, 0) for k in range(1, n) if p(k) >= 1}
-    elif label.variant == HyperfaceLabel.HN:
-        t = {_vlabel(k, 0) for k in range(1, n) if p(k) >= 1}
-        if src.n >= 1 and p(1) == 0:
-            t.add(HyperfaceLabel(HyperfaceLabel.H0))
-    else:
+    elif label.variant == HyperfaceLabel.V:
+        # dv^{k;q_k}: its source has p_k = q_k - 1.  The cases q_k = 1 need
+        # no branch of their own: p_k = 0 drops dv^{k;0} by the condition
+        # p_l >= 1, and adds dh^0 when k = 1 or dh^n when k = n by the
+        # conditions on p_1 and p_n
         k = label.k
-        q_k = shape.q(k)
-        if q_k >= 2:
-            t = {_vlabel(l, 0) for l in range(1, n + 1) if p(l) >= 1}
-            t |= {_vlabel(l, p(l)) for l in range(1, k) if p(l) >= 1}
-            if p(1) == 0:
-                t.add(HyperfaceLabel(HyperfaceLabel.H0))
-            if p(n) == 0:
-                t.add(HyperfaceLabel(HyperfaceLabel.HN, k=n))
-        elif k == 1:
-            t = {_vlabel(l, 0) for l in range(1, n + 1) if p(l) >= 1}
+        t = {_vlabel(l, 0) for l in range(1, n + 1) if p(l) >= 1}
+        t |= {_vlabel(l, p(l)) for l in range(1, k) if p(l) >= 1}
+        if p(1) == 0:
             t.add(HyperfaceLabel(HyperfaceLabel.H0))
-            if p(n) == 0:
-                t.add(HyperfaceLabel(HyperfaceLabel.HN, k=n))
-        elif k == n:
-            t = {_vlabel(l, 0) for l in range(1, n + 1) if p(l) >= 1}
-            t |= {_vlabel(l, p(l)) for l in range(1, n) if p(l) >= 1}
-            if p(1) == 0:
-                t.add(HyperfaceLabel(HyperfaceLabel.H0))
+        if p(n) == 0:
             t.add(HyperfaceLabel(HyperfaceLabel.HN, k=n))
-        else:
-            t = {_vlabel(l, 0) for l in range(1, n + 1) if l != k and p(l) >= 1}
-            t |= {_vlabel(l, p(l)) for l in range(1, k) if p(l) >= 1}
-            if p(1) == 0:
-                t.add(HyperfaceLabel(HyperfaceLabel.H0))
-            if p(n) == 0:
-                t.add(HyperfaceLabel(HyperfaceLabel.HN, k=n))
+    else:
+        t = {_vlabel(l, 0) for l in range(1, src.n + 1) if p(l) >= 1}
+        if label.variant == HyperfaceLabel.HN and src.n >= 1 and p(1) == 0:
+            t.add(HyperfaceLabel(HyperfaceLabel.H0))
     return src, frozenset(t)
 
 

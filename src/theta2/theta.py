@@ -11,12 +11,16 @@ holds one value tuple per covered index, in order.  Operators, box cells
 and free-nerve cells all use this convention, so the value kernels below
 act, compose and Reedy-factor once for all of them.  Reedy factorisation
 reads runs (``reedy_runs``), which every cellular set gives for its cells.
+The faces into a shape are built, not searched for: they are the closure
+of its identity under hyperfaces (``faces_into``).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from operator import attrgetter
 
 from .delta import CompositionError, SimplicialOperator, shuffles
 
@@ -491,59 +495,36 @@ def cellular_ops(src, dst):
     return tuple(out)
 
 
-def _jointly_monic_families(p, qs):
-    """All jointly monic tuples of operators [p] -> [q] for q in qs, as values.
+@lru_cache(maxsize=None)
+def faces_into(dst):
+    """All face operators into dst, from every shape of dimension <= dim(dst).
 
-    Equivalently the strictly increasing (p+1)-chains in the product
-    poset; enumerated directly so large shapes stay tractable.
+    The closure of the identity under hyperfaces.  It holds only faces,
+    since a face of a face is a face, and it holds every face, since every
+    face other than the identity factors through a hyperface.  Sorted like
+    operators: by source shape first, and shapes by dimension first.
     """
-    points = list(itertools.product(*(range(q + 1) for q in qs)))
-    out = []
-    chain = []
-
-    def extend():
-        if len(chain) == p + 1:
-            out.append(tuple(zip(*chain)))
-            return
-        last = chain[-1]
-        for nxt in points:
-            if nxt != last and all(a <= b for a, b in zip(last, nxt)):
-                chain.append(nxt)
-                extend()
-                chain.pop()
-
-    for start in points:
-        chain = [start]
-        extend()
-    return out
+    top = identity_cellular(dst)
+    found = {top}
+    todo = [top]
+    while todo:
+        f = todo.pop()
+        for _, h in hyperfaces(f.src):
+            g = compose_cellular(h, f)
+            if g not in found:
+                found.add(g)
+                todo.append(g)
+    return tuple(sorted(found))
 
 
 @lru_cache(maxsize=None)
 def faces_between(src, dst):
-    """All face operators src -> dst (monic horizontal, jointly monic parts)."""
-    out = []
-    m, n = src.n, dst.n
-    if m > n:
-        return ()
-    for a in itertools.combinations(range(n + 1), m + 1):
-        pools = []
-        for l in range(1, m + 1):
-            ks = range(a[l - 1] + 1, a[l] + 1)
-            pools.append(_jointly_monic_families(src.q(l), tuple(dst.q(k) for k in ks)))
-        for families in itertools.product(*pools):
-            comps = tuple(c for fam in families for c in fam)
-            out.append(CellularOperator(src, dst, a, comps))
-    out.sort()
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def faces_into(dst):
-    """All face operators into dst, from every shape of dimension <= dim(dst)."""
-    out = []
-    for src in shapes_upto(dst.dim):
-        out.extend(faces_between(src, dst))
-    return tuple(out)
+    """All face operators src -> dst (monic horizontal, jointly monic parts):
+    the run of ``faces_into(dst)`` whose source is src."""
+    faces = faces_into(dst)
+    source = attrgetter("src")
+    lo = bisect_left(faces, src, key=source)
+    return faces[lo : bisect_right(faces, src, lo, key=source)]
 
 
 @lru_cache(maxsize=None)

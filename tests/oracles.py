@@ -1,7 +1,10 @@
 """Reference implementations that the library's fast paths are tested against."""
 
+import itertools
+
 from theta2.cellset import Cell, Subobject, TruncatedCellularSet
 from theta2.theta import (
+    CellularOperator,
     compose_cellular,
     elementary_degeneracies,
     faces_into,
@@ -162,3 +165,56 @@ def reference_square(step):
 
     report["ok"] = all(report["checks"].values())
     return report, after
+
+
+# -- faces by the jointly-monic chain search ------------------------------------
+#
+# The library builds the faces into a shape as the closure of its identity
+# under hyperfaces (``theta.faces_into``); this is the search it replaced: a
+# face is a monic horizontal map whose components over each interval are
+# jointly monic.
+
+
+def _jointly_monic_families(p, qs):
+    """All jointly monic tuples of operators [p] -> [q] for q in qs, as values.
+
+    Equivalently the strictly increasing (p+1)-chains in the product
+    poset; enumerated directly so large shapes stay tractable.
+    """
+    points = list(itertools.product(*(range(q + 1) for q in qs)))
+    out = []
+    chain = []
+
+    def extend():
+        if len(chain) == p + 1:
+            out.append(tuple(zip(*chain)))
+            return
+        last = chain[-1]
+        for nxt in points:
+            if nxt != last and all(a <= b for a, b in zip(last, nxt)):
+                chain.append(nxt)
+                extend()
+                chain.pop()
+
+    for start in points:
+        chain = [start]
+        extend()
+    return out
+
+
+def jointly_monic_faces(src, dst):
+    """All face operators src -> dst (monic horizontal, jointly monic parts)."""
+    out = []
+    m, n = src.n, dst.n
+    if m > n:
+        return ()
+    for a in itertools.combinations(range(n + 1), m + 1):
+        pools = []
+        for l in range(1, m + 1):
+            ks = range(a[l - 1] + 1, a[l] + 1)
+            pools.append(_jointly_monic_families(src.q(l), tuple(dst.q(k) for k in ks)))
+        for families in itertools.product(*pools):
+            comps = tuple(c for fam in families for c in fam)
+            out.append(CellularOperator(src, dst, a, comps))
+    out.sort()
+    return tuple(out)

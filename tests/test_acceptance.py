@@ -153,17 +153,26 @@ def test_criterion_01_category_laws():
             for f in cellular_ops(s, t):
                 assert compose_cellular(i, f) == f
                 assert compose_cellular(f, identity_cellular(t)) == f
-    cpair = {}
-    for a, b, c in itertools.product(shs, repeat=3):
-        for f in cellular_ops(a, b):
-            for g in cellular_ops(b, c):
-                cpair[(f, g)] = compose_cellular(f, g)
+    # the operators of each hom are numbered, and each pair's composite is
+    # tabulated as its number in the composite's hom (a composite outside
+    # that hom raises), so a triple is checked by list indexing
+    ids = {(a, b): {f: i for i, f in enumerate(cellular_ops(a, b))} for a in shs for b in shs}
+    ctable = {
+        (a, b, c): [
+            [ids[(a, c)][compose_cellular(f, g)] for g in cellular_ops(b, c)]
+            for f in cellular_ops(a, b)
+        ]
+        for a, b, c in itertools.product(shs, repeat=3)
+    }
+    triples = 0
     for a, b, c, d in itertools.product(shs, repeat=4):
-        for f in cellular_ops(a, b):
-            for g in cellular_ops(b, c):
-                fg = cpair[(f, g)]
-                for h in cellular_ops(c, d):
-                    assert cpair[(fg, h)] == cpair[(f, cpair[(g, h)])]
+        f_g, g_h = ctable[(a, b, c)], ctable[(b, c, d)]
+        fg_h, f_gh = ctable[(a, c, d)], ctable[(a, b, d)]
+        for f, row in enumerate(f_g):
+            for g, fg in enumerate(row):
+                assert fg_h[fg] == [f_gh[f][gh] for gh in g_h[g]], (a, b, c, d, f, g)
+                triples += len(g_h[g])
+    assert triples == 4_164_023
     report(1, "category laws", t0, 60)
 
 
@@ -580,3 +589,48 @@ def test_criterion_10_lifting_and_mutations():
     rep_bd = lift_check(BoundaryOnly(), "inner-v", 4)
     assert rep_bd["unfilled"] > 0
     report(10, "lifting smoke tests and engineered failures", t0, 300)
+
+
+# -- 11. the known vert_equiv failures, pinned -------------------------------------------------
+
+# (shape, k): the cases of dim <= 6 whose vert_equiv replay fails at bound 3
+# (ROADMAP item 1).  The test pins how they fail; a mend changes it on purpose.
+_VERT_EQUIV_FAILURES = [
+    ((0, 0, 2), 1),
+    ((0, 0, 3), 1),
+    ((0, 0, 1, 1), 1),
+    ((0, 0, 2, 0), 1),
+    ((0, 0, 0, 2), 1),
+    ((0, 0, 0, 2), 2),
+    ((2, 0, 0), 3),
+    ((3, 0, 0), 3),
+    ((0, 2, 0, 0), 4),
+    ((1, 1, 0, 0), 4),
+    ((2, 0, 0, 0), 4),
+]
+
+
+def _step_passes(st):
+    # margin-only steps carry no checks
+    return all(st.get("checks", {}).values())
+
+
+def test_criterion_11_vert_equiv_failures_pinned():
+    t0 = time.time()
+    for qs, k in _VERT_EQUIV_FAILURES:
+        rep = replay(vert_equiv(ThetaShape(qs), k, 3))
+        case = (qs, k)
+        assert not rep["ok"], case
+        assert all(_step_passes(st) for st in rep["steps"]), case
+        fork_steps = [(name, st) for name, f in rep["forks"].items() for st in f["steps"]]
+        failing = [(name, st) for name, st in fork_steps if not _step_passes(st)]
+        assert len(failing) == 1, case
+        name, st = failing[0]
+        assert (name, st["index"], st["label"]) == (
+            "psi",
+            0,
+            "glue the lower extension along its own domain",
+        ), case
+        assert st["checks"] == {"pullback": False, "injective": True, "cover": False}, case
+        assert rep["forks"]["psi"]["final"]["equals_target"], case
+    report(11, f"vert_equiv failures pinned ({len(_VERT_EQUIV_FAILURES)} cases)", t0, 60)

@@ -130,6 +130,8 @@ assert replay(horiz_equiv(ThetaShape((0,)), 2))["ok"]
 assert lift_check(from_simplicial(J, 3), "inner", 3)["unfilled"] == 0
 for key, count in sorted(tracer.calls.items()):
     print(key, count)
+# reads every theta cache's statistics: one that stops being an lru_cache fails
+tracer.metrics()
 """
 
 # wrapped methods and functions that the traced run above must reach
@@ -148,6 +150,7 @@ _TRACED_KEYS = (
     "cellset.Representable.nd_decompose",
     "sset.SimplicialSet.act",
     "theta.compose_cellular",
+    "theta.faces_into",
     "theta.reedy_factor",
     "anodyne.gluing.verify_gluing_square",
     "anodyne.gluing.image_subobject",

@@ -42,6 +42,8 @@ from theta2.theta import (
     vertical_hyperface,
 )
 
+from oracles import jointly_monic_faces
+
 
 def shape(*qs):
     return ThetaShape(qs)
@@ -193,6 +195,13 @@ def test_hyperface_count_formula():
             )
             expected += sum(s.q(k) + 1 for k in range(1, n + 1) if s.q(k) >= 1)
         assert len(hyperfaces(s)) == expected
+
+
+def test_faces_into_matches_jointly_monic_search():
+    # the hyperface closure gives the search's faces, in the search's order
+    for s in shapes_upto(6):
+        search = tuple(f for src in shapes_upto(s.dim) for f in jointly_monic_faces(src, s))
+        assert faces_into(s) == search, s
 
 
 def test_hyperfaces_are_exactly_codim_one_faces():
