@@ -48,11 +48,9 @@ def is_admissible(shape, labels):
     return True, k_s
 
 
-def enumerate_admissible_sets(shape, vertical_only=False):
+def enumerate_admissible_sets(shape):
     """All admissible label sets, for the desk-scale acceptance sweeps."""
     inner = inner_hyperface_labels(shape)
-    if vertical_only:
-        inner = tuple(l for l in inner if l.variant == HyperfaceLabel.V)
     out = []
     for r in range(len(inner) + 1):
         for combo in itertools.combinations(inner, r):

@@ -14,10 +14,11 @@ from ..boxprod import face_closure, upsilon_subobject
 from ..cellset import Cell
 from ..delta import shuffle_corners, shuffle_covers, shuffle_leq, shuffles
 from ..theta import (
-    HyperfaceLabel,
     ThetaShape,
+    hlabel,
     hyperface_operator,
     hyperfaces,
+    vlabel,
 )
 
 
@@ -41,16 +42,8 @@ def pullback_hyperface(shape, target, along):
     return _pullback(shape, target, along)
 
 
-def _vert(k, i):
-    return HyperfaceLabel(HyperfaceLabel.V, k=k, i=i)
-
-
-def _horiz(k, shf):
-    return HyperfaceLabel(HyperfaceLabel.HK, k=k, shuffle=shf)
-
-
 def _along(shape, k, shf):
-    op = hyperface_operator(shape, _horiz(k, shf))
+    op = hyperface_operator(shape, hlabel(k, shf))
     return op, Cell(op.src, op)
 
 
@@ -73,18 +66,18 @@ def check_claim1(shape, k, shf, dual=False):
         all_src = face_closure(
             src,
             [
-                hyperface_operator(src, _horiz(src_ell, g))
+                hyperface_operator(src, hlabel(src_ell, g))
                 for g in shuffles(src.q(src_ell), src.q(src_ell + 1))
             ],
         )
         for beta in shuffles(shape.q(ell), shape.q(ell + 1)):
-            pb = _pullback(shape, _horiz(ell, beta), _horiz(k, shf))
+            pb = _pullback(shape, hlabel(ell, beta), hlabel(k, shf))
             if not pb.issubset(all_src):
                 ok = False
         for gamma in shuffles(src.q(src_ell), src.q(src_ell + 1)):
             covered = any(
-                label_closure(src, _horiz(src_ell, gamma)).issubset(
-                    _pullback(shape, _horiz(ell, beta), _horiz(k, shf))
+                label_closure(src, hlabel(src_ell, gamma)).issubset(
+                    _pullback(shape, hlabel(ell, beta), hlabel(k, shf))
                 )
                 for beta in shuffles(shape.q(ell), shape.q(ell + 1))
             )
@@ -111,15 +104,15 @@ def check_claim2(shape, k, shf, upward=False):
         )
         if not bad:
             continue
-        pb = _pullback(shape, _horiz(k, beta), _horiz(k, shf))
+        pb = _pullback(shape, hlabel(k, beta), hlabel(k, shf))
         if not any(
-            pb.issubset(label_closure(src, _vert(k, j))) for j in corners
+            pb.issubset(label_closure(src, vlabel(k, j))) for j in corners
         ):
             ok = False
     for j in sorted(corners):
-        want = label_closure(src, _vert(k, j))
+        want = label_closure(src, vlabel(k, j))
         found = any(
-            _pullback(shape, _horiz(k, nb), _horiz(k, shf)).same_cells(want)
+            _pullback(shape, hlabel(k, nb), hlabel(k, shf)).same_cells(want)
             for nb in neighbours
         )
         if not found:
@@ -136,9 +129,9 @@ def check_claim3(shape, k, shf):
         if ell in (k, k + 1):
             continue
         for i in range(1, shape.q(ell)):
-            pb = pullback_hyperface(shape, _vert(ell, i), _horiz(k, shf))
+            pb = pullback_hyperface(shape, vlabel(ell, i), hlabel(k, shf))
             src_ell = ell if ell < k else ell - 1
-            want = label_closure(src, _vert(src_ell, i))
+            want = label_closure(src, vlabel(src_ell, i))
             if not pb.same_cells(want):
                 ok = False
     return {"claim": "3", "ok": ok}
@@ -156,15 +149,15 @@ def check_claim4(shape, k, shf, upward=False):
     for side, comp in ((k, alpha), (k + 1, alpha_p)):
         q = shape.q(side)
         for i in range(1, q):
-            pb = pullback_hyperface(shape, _vert(side, i), _horiz(k, shf))
+            pb = pullback_hyperface(shape, vlabel(side, i), hlabel(k, shf))
             pre = [j for j, v in enumerate(comp.values) if v == i]
             if len(pre) == 1:
-                want = label_closure(src, _vert(k, pre[0]))
+                want = label_closure(src, vlabel(k, pre[0]))
                 if not pb.same_cells(want):
                     ok = False
             else:
                 if not any(
-                    pb.issubset(label_closure(src, _vert(k, j))) for j in corners
+                    pb.issubset(label_closure(src, vlabel(k, j))) for j in corners
                 ):
                     ok = False
     return {"claim": "4'" if upward else "4", "ok": ok}
@@ -183,21 +176,21 @@ def check_claim5(shape, k, base_shf, shf):
     for gamma in shuffles(shape.q(k), shape.q(k + 1)):
         if shuffle_leq(base_shf, gamma):
             continue
-        pb = _pullback(shape, _horiz(k, gamma), _horiz(k, shf))
+        pb = _pullback(shape, hlabel(k, gamma), hlabel(k, shf))
         witnesses = [
             j
             for j in range(1, src.q(k))
             if (j not in lower or shf.alpha.values[j] == base_shf.alpha.values[j])
-            and pb.issubset(label_closure(src, _vert(k, j)))
+            and pb.issubset(label_closure(src, vlabel(k, j)))
         ]
         if not witnesses:
             ok = False
     for j in sorted(lower):
         if shf.alpha.values[j] != base_shf.alpha.values[j]:
             continue
-        want = label_closure(src, _vert(k, j))
+        want = label_closure(src, vlabel(k, j))
         found = any(
-            _pullback(shape, _horiz(k, gamma), _horiz(k, shf)).same_cells(want)
+            _pullback(shape, hlabel(k, gamma), hlabel(k, shf)).same_cells(want)
             for gamma in shuffles(shape.q(k), shape.q(k + 1))
             if not shuffle_leq(base_shf, gamma)
         )

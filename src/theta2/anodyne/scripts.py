@@ -42,6 +42,7 @@ from ..theta import (
     ThetaError,
     ThetaShape,
     faces_into,
+    hlabel,
     horizontal_face_0,
     horizontal_face_n,
     hyperface_operator,
@@ -52,6 +53,7 @@ from ..theta import (
     op_dual_shape,
     outer_hyperface_order,
     vertical_hyperface,
+    vlabel,
 )
 from .admissible import is_admissible, shuffle_slice
 from .gluing import GluingStep, verify_gluing_square
@@ -174,14 +176,6 @@ def replay(script):
 # -- helpers ------------------------------------------------------------------
 
 
-def _vlabel(k, i):
-    return HyperfaceLabel(HyperfaceLabel.V, k=k, i=i)
-
-
-def _hlabel(k, shf):
-    return HyperfaceLabel(HyperfaceLabel.HK, k=k, shuffle=shf)
-
-
 def _face_step(label, op, expected_w):
     """Glue the face ``op`` of the ambient representable along ``expected_w``."""
     return GluingStep(label=label, cell=Cell(op.src, op), expected_w=expected_w)
@@ -274,7 +268,7 @@ def spine_anodyne(shape):
             _face_step(
                 "glue dv^{1;0} along dagger stage",
                 bottom,
-                sigma_subobject(bottom.src, frozenset([_vlabel(1, q - 1)])),
+                sigma_subobject(bottom.src, frozenset([vlabel(1, q - 1)])),
             )
         )
         for p in range(2, q + 1):
@@ -332,21 +326,21 @@ def _sigma_case_t(shape, label):
 
     if label.variant == HyperfaceLabel.V and label.i == 0:
         k = label.k
-        t = {_vlabel(l, 0) for l in range(1, k) if p(l) >= 1}
+        t = {vlabel(l, 0) for l in range(1, k) if p(l) >= 1}
     elif label.variant == HyperfaceLabel.V:
         # dv^{k;q_k}: its source has p_k = q_k - 1.  The cases q_k = 1 need
         # no branch of their own: p_k = 0 drops dv^{k;0} by the condition
         # p_l >= 1, and adds dh^0 when k = 1 or dh^n when k = n by the
         # conditions on p_1 and p_n
         k = label.k
-        t = {_vlabel(l, 0) for l in range(1, n + 1) if p(l) >= 1}
-        t |= {_vlabel(l, p(l)) for l in range(1, k) if p(l) >= 1}
+        t = {vlabel(l, 0) for l in range(1, n + 1) if p(l) >= 1}
+        t |= {vlabel(l, p(l)) for l in range(1, k) if p(l) >= 1}
         if p(1) == 0:
             t.add(HyperfaceLabel(HyperfaceLabel.H0))
         if p(n) == 0:
             t.add(HyperfaceLabel(HyperfaceLabel.HN, k=n))
     else:
-        t = {_vlabel(l, 0) for l in range(1, src.n + 1) if p(l) >= 1}
+        t = {vlabel(l, 0) for l in range(1, src.n + 1) if p(l) >= 1}
         if label.variant == HyperfaceLabel.HN and src.n >= 1 and p(1) == 0:
             t.add(HyperfaceLabel(HyperfaceLabel.H0))
     return src, frozenset(t)
@@ -390,9 +384,9 @@ def _vertical_pullback_labels(before, k, i):
     t = set()
     for lbl in before:
         if lbl.k == k and lbl.i > i:
-            t.add(_vlabel(k, lbl.i - 1))
+            t.add(vlabel(k, lbl.i - 1))
         else:
-            t.add(_vlabel(lbl.k, lbl.i))
+            t.add(vlabel(lbl.k, lbl.i))
     return frozenset(t)
 
 
@@ -420,7 +414,7 @@ def _singleton_preimages(k, shf, at_k, at_k1):
         for i in indices:
             pre = [j for j, v in enumerate(values) if v == i]
             if len(pre) == 1:
-                t.add(_vlabel(k, pre[0]))
+                t.add(vlabel(k, pre[0]))
     return t
 
 
@@ -431,28 +425,28 @@ def _horizontal_stage_t(shape, k, shf, stage_labels):
     """
     n = shape.n
     src = _merged_shape(shape, k)
-    before = set(stage_labels) - {_hlabel(k, shf)}
+    before = set(stage_labels) - {hlabel(k, shf)}
     t = set()
     # T1: fully-attached lower horizontal levels transfer wholesale
     for ell in range(1, k):
         if shuffle_slice(stage_labels, ell) == set(shuffles(shape.q(ell), shape.q(ell + 1))):
             for g in shuffles(src.q(ell), src.q(ell + 1)):
-                t.add(_hlabel(ell, g))
+                t.add(hlabel(ell, g))
     for ell in range(k + 1, n):
         if shuffle_slice(stage_labels, ell) == set(shuffles(shape.q(ell), shape.q(ell + 1))):
             for g in shuffles(src.q(ell - 1), src.q(ell)):
-                t.add(_hlabel(ell - 1, g))
+                t.add(hlabel(ell - 1, g))
     # T2: lower corners of the attached shuffle
     lower, _ = shuffle_corners(shf)
     for j in lower:
-        t.add(_vlabel(k, j))
+        t.add(vlabel(k, j))
     # T3 and its shift
     verticals = [lbl for lbl in before if lbl.variant == HyperfaceLabel.V]
     for lbl in verticals:
         if lbl.k < k:
-            t.add(_vlabel(lbl.k, lbl.i))
+            t.add(vlabel(lbl.k, lbl.i))
         elif lbl.k > k + 1:
-            t.add(_vlabel(lbl.k - 1, lbl.i))
+            t.add(vlabel(lbl.k - 1, lbl.i))
     # T4/T4': singleton preimages of attached verticals at k and k+1
     t |= _singleton_preimages(
         k,
@@ -557,9 +551,9 @@ def oury_from_alt(shape, labels):
                 raise ThetaError("excluded verticals must be inner")
         while len(remaining) >= 2:
             i = remaining[-1]
-            op = hyperface_operator(shape, _vlabel(k, i))
-            t = {_vlabel(k, j) for j in remaining if j < i}
-            t |= {_vlabel(k, j - 1) for j in remaining if j > i}
+            op = hyperface_operator(shape, vlabel(k, i))
+            t = {vlabel(k, j) for j in remaining if j < i}
+            t |= {vlabel(k, j - 1) for j in remaining if j > i}
             steps.append(
                 _face_step(f"glue dv^({k};{i})", op, lambda_subobject(op.src, frozenset(t)))
             )
@@ -583,9 +577,9 @@ def oury_from_alt(shape, labels):
         remaining = sorted(shfs, key=lambda s: s.alpha.values)
         while len(remaining) >= 2:
             shf = remaining[0]
-            op = hyperface_operator(shape, _hlabel(k, shf))
+            op = hyperface_operator(shape, hlabel(k, shf))
             _, upper = shuffle_corners(shf)
-            t = {_vlabel(k, j) for j in upper}
+            t = {vlabel(k, j) for j in upper}
             steps.append(
                 _face_step(f"glue dh^({k};{shf})", op, lambda_subobject(op.src, frozenset(t)))
             )
@@ -614,24 +608,26 @@ def _alt_stage_t(shape, k, base, shf):
     t = set()
     for ell in range(1, src.n):
         for g in shuffles(src.q(ell), src.q(ell + 1)):
-            t.add(_hlabel(ell, g))
+            t.add(hlabel(ell, g))
     lower, upper = shuffle_corners(shf)
     for j in upper:
-        t.add(_vlabel(k, j))
+        t.add(vlabel(k, j))
     for m in range(1, src.n + 1):
         if m == k:
             continue
         for j in range(1, src.q(m)):
-            t.add(_vlabel(m, j))
+            t.add(vlabel(m, j))
     t |= _singleton_preimages(k, shf, range(1, shape.q(k)), range(1, shape.q(k + 1)))
     for j in lower:
         if shf.alpha.values[j] == base.alpha.values[j]:
-            t.add(_vlabel(k, j))
+            t.add(vlabel(k, j))
     return src, frozenset(t)
 
 
 def alt_trivial(shape, k, base_shf, i_set):
     """Upward-closed alternative-horn decomposition above a fixed shuffle."""
+    if not 1 <= k <= shape.n - 1:
+        raise ThetaError(f"horizontal hyperface index {k} out of range for {shape}")
     pool = shuffles(shape.q(k), shape.q(k + 1))
     up = [s for s in pool if shuffle_leq(base_shf, s)]
     i_set = set(i_set)
@@ -642,7 +638,7 @@ def alt_trivial(shape, k, base_shf, i_set):
             if shuffle_leq(t, s) and t not in i_set:
                 raise ThetaError("index set must be downward closed in the up-set")
     amb = representable(shape)
-    all_labels = frozenset(_hlabel(k, s) for s in up)
+    all_labels = frozenset(hlabel(k, s) for s in up)
     stilde = frozenset(
         l for l in inner_hyperface_labels(shape) if l not in all_labels
     )
@@ -661,7 +657,7 @@ def alt_trivial(shape, k, base_shf, i_set):
         t_ok, _ = is_admissible(src, t)
         if not t_ok:
             notes.append(f"T at {shf} is not admissible")
-        op = hyperface_operator(shape, _hlabel(k, shf))
+        op = hyperface_operator(shape, hlabel(k, shf))
         steps.append(_face_step(f"glue dh^({k};{shf})", op, upsilon_subobject(src, t)))
     return ReplayScript(
         name="alt_trivial",
@@ -674,7 +670,7 @@ def alt_trivial(shape, k, base_shf, i_set):
         ambient=amb,
         initial=lambda_subobject(shape, all_labels),
         steps=steps,
-        target=lambda_subobject(shape, frozenset(_hlabel(k, s) for s in i_set)),
+        target=lambda_subobject(shape, frozenset(hlabel(k, s) for s in i_set)),
         certified_dim=shape.dim,
         notes=notes,
     )
@@ -702,7 +698,7 @@ def vert_equiv(shape, k, bound):
     params = {"shape": str(shape), "k": k, "bound": bound}
     if n == 1:
         psi, phi, _ = equiv_vert(shape, 1, bound)
-        corner = theta_corner(phi, shape, 1)
+        corner = theta_corner(phi, 1)
 
         def corner_check(y):
             return psi.same_cells(corner), "domain is the representable corner"
@@ -728,7 +724,7 @@ def vert_equiv(shape, k, bound):
     # their closures cover the certified region (deep parents)
     work = bound + 2
     psi, phi, _ = equiv_vert(shape, k, work)
-    corner = theta_corner(phi, shape, k)
+    corner = theta_corner(phi, k)
     # the base values of the identity and of the k-th face of [n]
     id_vals = tuple(range(n + 1))
     delta_vals = tuple(v for v in range(n + 1) if v != k)
@@ -740,16 +736,12 @@ def vert_equiv(shape, k, bound):
         nx = tuple(v + k - 1 for v in x)
         return Cell(cell.shape, (nx, comps))
 
-    edge_corner = Subobject.where(
-        edge, lambda c: all(FILLED not in y for y in c.payload[1])
-    )
-
     steps = [
         GluingStep(
             label="glue the interval edge at hom k",
             source=edge,
             map_fn=edge_map,
-            expected_w=edge_corner,
+            expected_w=theta_corner(edge, 1),
         )
     ]
 

@@ -2,6 +2,12 @@
 named inclusion families: boundaries, horns, spines, and the equivalence
 extensions built from the chaotic-nerve interval.
 
+The Leibniz boundary, the Leibniz horns and the vertical equivalence
+extension Psi^k c Phi^k are one construction: the Leibniz box of the
+boundaries of [n] and of every [q_j], with the base's pair or one hom
+slot's pair replaced (a horn of [n], a horn of [q_k], or the endpoint
+{diamond} c J in slot k).
+
 A box cell at [m;p] is a pair (x, comps): x is an m-simplex of the base
 (a value tuple over [n]) and comps has one p_i-simplex of the fiber S_j
 for every covered index x(0) < j <= x(m), where i is the interval index
@@ -25,6 +31,7 @@ from .cellset import (
 )
 from .sset import (
     DIAMOND,
+    DIAMOND_POINT,
     FILLED,
     J,
     boundary_sset,
@@ -36,11 +43,13 @@ from .theta import (
     HyperfaceLabel,
     ThetaError,
     act_values,
+    hlabel,
     hyperface_operator,
     hyperfaces,
     interval_index,
     interval_rows,
     vertebrae,
+    vlabel,
 )
 
 
@@ -109,6 +118,14 @@ class Inclusion:
         return self.domain.ambient
 
 
+def slot_component(payload, slot):
+    """The fiber component of a box cell at hom slot ``slot``; None if uncovered."""
+    x, comps = payload
+    if x[0] < slot <= x[-1]:
+        return comps[slot - x[0] - 1]
+    return None
+
+
 def leibniz_box(base_pair, fiber_pairs, bound):
     """Leibniz box of monomorphisms: (A c W over Delta[n]; B_j c S_j).
 
@@ -125,8 +142,6 @@ def leibniz_box(base_pair, fiber_pairs, bound):
         if sub_base.contains(cell.payload[0]):
             return True
         for j, (small, _) in enumerate(fiber_pairs, 1):
-            if small is None:
-                continue
             y = slot_component(cell.payload, j)
             if y is None or small.contains(y):
                 return True
@@ -135,37 +150,37 @@ def leibniz_box(base_pair, fiber_pairs, bound):
     return Inclusion(Subobject.where(codomain, in_domain), name="leibniz-box")
 
 
-def boundary_leibniz(shape, bound=None):
+def _boundary_box(name, shape, bound, base=None, slot=None):
+    """The Leibniz box of the boundaries of [n] and of every [q_j].
+
+    ``base`` replaces the base's small argument; ``slot = (k, small, big)``
+    replaces the pair of hom slot k.
+    """
     if bound is None:
         bound = shape.dim
     pairs = [(boundary_sset(q), standard_simplex(q)) for q in shape.qs]
-    inc = leibniz_box((boundary_sset(shape.n), standard_simplex(shape.n)), pairs, bound)
-    return Inclusion(inc.domain, name=f"leibniz-boundary{shape}")
+    if slot is not None:
+        k, small, big = slot
+        pairs[k - 1] = (small, big)
+    base_pair = (base or boundary_sset(shape.n), standard_simplex(shape.n))
+    return Inclusion(leibniz_box(base_pair, pairs, bound).domain, name=name)
+
+
+def boundary_leibniz(shape, bound=None):
+    return _boundary_box(f"leibniz-boundary{shape}", shape, bound)
 
 
 def horn_h_leibniz(shape, k, bound=None):
     if not 0 <= k <= shape.n:
         raise ThetaError(f"horizontal horn index {k} out of range for {shape}")
-    if bound is None:
-        bound = shape.dim
-    pairs = [(boundary_sset(q), standard_simplex(q)) for q in shape.qs]
-    inc = leibniz_box((horn_sset(shape.n, k), standard_simplex(shape.n)), pairs, bound)
-    return Inclusion(inc.domain, name=f"leibniz-horn-h^{k}{shape}")
+    return _boundary_box(f"leibniz-horn-h^{k}{shape}", shape, bound, base=horn_sset(shape.n, k))
 
 
 def horn_v_leibniz(shape, k, i, bound=None):
     if not (1 <= k <= shape.n and shape.q(k) >= 1 and 0 <= i <= shape.q(k)):
         raise ThetaError(f"vertical horn ({k};{i}) out of range for {shape}")
-    if bound is None:
-        bound = shape.dim
-    pairs = []
-    for j, q in enumerate(shape.qs, start=1):
-        if j == k:
-            pairs.append((horn_sset(q, i), standard_simplex(q)))
-        else:
-            pairs.append((boundary_sset(q), standard_simplex(q)))
-    inc = leibniz_box((boundary_sset(shape.n), standard_simplex(shape.n)), pairs, bound)
-    return Inclusion(inc.domain, name=f"leibniz-horn-v^{{{k};{i}}}{shape}")
+    slot = (k, horn_sset(shape.q(k), i), standard_simplex(shape.q(k)))
+    return _boundary_box(f"leibniz-horn-v^{{{k};{i}}}{shape}", shape, bound, slot=slot)
 
 
 # -- named subobjects of representables --------------------------------------
@@ -207,7 +222,7 @@ def horn_v(shape, k, i):
     """All hyperfaces except the (k;i)-th vertical one."""
     if not (1 <= k <= shape.n and shape.q(k) >= 1 and 0 <= i <= shape.q(k)):
         raise ThetaError(f"vertical horn ({k};{i}) out of range for {shape}")
-    skip = HyperfaceLabel(HyperfaceLabel.V, k=k, i=i)
+    skip = vlabel(k, i)
     keep = [op for lbl, op in hyperfaces(shape) if lbl != skip]
     return Inclusion(face_closure(shape, keep), name=f"horn-v^{{{k};{i}}}{shape}")
 
@@ -215,7 +230,7 @@ def horn_v(shape, k, i):
 @lru_cache(maxsize=None)
 def horn_h_alt(shape, k, shf):
     """All hyperfaces except the single k-th horizontal one at the shuffle."""
-    skip = HyperfaceLabel(HyperfaceLabel.HK, k=k, shuffle=shf)
+    skip = hlabel(k, shf)
     if skip not in {lbl for lbl, _ in hyperfaces(shape)}:
         raise ThetaError(f"{skip} is not a hyperface of {shape}")
     keep = [op for lbl, op in hyperfaces(shape) if lbl != skip]
@@ -258,35 +273,16 @@ def lambda_subobject(shape, labels):
 # -- equivalence extensions ---------------------------------------------------
 
 
-def vertical_extension_ambient(shape, k, bound):
-    """The box with the interval in hom slot k (which must have q_k = 0)."""
+def equiv_vert(shape, k, bound):
+    """The vertical equivalence extension (Psi^k, Phi^k, inclusion).
+
+    Psi^k c Phi^k is the Leibniz box of the boundaries of [n] and of every
+    [q_j], j != k, with the endpoint {diamond} c J in hom slot k (q_k = 0).
+    """
     if not (1 <= k <= shape.n and shape.q(k) == 0):
         raise ThetaError(f"vertical extension needs q_{k} = 0 in {shape}")
-    fibers = [J if j == k else standard_simplex(q) for j, q in enumerate(shape.qs, 1)]
-    return BoxCellSet(standard_simplex(shape.n), fibers, bound)
-
-
-def slot_component(payload, slot):
-    """The fiber component of a box cell at hom slot ``slot``; None if uncovered."""
-    x, comps = payload
-    if x[0] < slot <= x[-1]:
-        return comps[slot - x[0] - 1]
-    return None
-
-
-def psi_contains(payload, shape, k):
-    """Leibniz-domain membership for the vertical equivalence extension.
-
-    A cell lies outside exactly when the base and all non-k components are
-    surjective and some k-component contains the filled vertex.
-    """
-    x, _ = payload
-    if set(x) != set(range(shape.n + 1)):
-        return True
-    for j in range(x[0] + 1, x[-1] + 1):
-        if j != k and set(slot_component(payload, j)) != set(range(shape.q(j) + 1)):
-            return True
-    return theta_corner_contains(payload, k)
+    inc = _boundary_box(f"equiv-v^{k}{shape}", shape, bound, slot=(k, DIAMOND_POINT, J))
+    return inc.domain, inc.codomain, inc
 
 
 def theta_corner_contains(payload, k):
@@ -295,16 +291,12 @@ def theta_corner_contains(payload, k):
     return y is None or FILLED not in y
 
 
-def equiv_vert(shape, k, bound):
-    """The vertical equivalence extension (Psi^k, Phi^k, inclusion)."""
-    phi = vertical_extension_ambient(shape, k, bound)
-    psi = Subobject.where(phi, lambda c: psi_contains(c.payload, shape, k))
-    return psi, phi, Inclusion(psi, name=f"equiv-v^{k}{shape}")
+def theta_corner(ambient, k):
+    """The cells of a box with no filled interval vertex in hom slot k.
 
-
-def theta_corner(phi, shape, k):
-    """The representable sitting inside Phi^k at the diamond corner."""
-    return Subobject.where(phi, lambda c: theta_corner_contains(c.payload, k))
+    In Phi^k this is the representable sitting at the diamond corner.
+    """
+    return Subobject.where(ambient, lambda c: theta_corner_contains(c.payload, k))
 
 
 def equiv_horiz(shape, bound):

@@ -254,6 +254,9 @@ def _script_from_args(args):
         return spine_anodyne(shape)
     if args.script == "sigma-s":
         chain = outer_hyperface_order(shape)
+        inner = labels - set(chain)
+        if inner:
+            raise ParseError(f"sigma-s attaches outer hyperfaces only; {min(inner)} is inner")
         want = [l for l in chain if l in labels] if labels else list(chain)
         return sigma_s(shape, want)
     if args.script == "upsilon-vertical":

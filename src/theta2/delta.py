@@ -44,9 +44,6 @@ class SimplicialOperator:
     def __setattr__(self, name, value):
         raise AttributeError("SimplicialOperator is immutable")
 
-    def __call__(self, i):
-        return self.values[i]
-
     def __eq__(self, other):
         return (
             isinstance(other, SimplicialOperator)

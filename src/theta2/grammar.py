@@ -14,7 +14,15 @@ from __future__ import annotations
 import re
 
 from .delta import Shuffle, SimplicialOperator
-from .theta import CellularOperator, HyperfaceLabel, ThetaShape, interval_index
+from .theta import (
+    CellularOperator,
+    HyperfaceLabel,
+    ThetaShape,
+    hlabel,
+    hyperfaces,
+    interval_index,
+    vlabel,
+)
 
 
 class ParseError(ValueError):
@@ -149,23 +157,26 @@ def parse_shuffle(text):
     return Shuffle(m, n, SimplicialOperator(a_vals, m))
 
 
-def parse_hyperface_label(text, shape):
-    """Parse a printed hyperface label against its shape."""
-    text = text.strip()
+def _parse_label(text):
     m = re.match(r"^dh\^(\d+)$", text)
     if m:
         k = int(m.group(1))
         if k == 0:
             return HyperfaceLabel(HyperfaceLabel.H0)
-        if k == shape.n:
-            return HyperfaceLabel(HyperfaceLabel.HN, k=k)
-        raise ParseError(f"{text!r} is not an outer horizontal hyperface of {shape}")
+        return HyperfaceLabel(HyperfaceLabel.HN, k=k)
     m = re.match(r"^dh\^\{(\d+);(<.*>)\}$", text)
     if m:
-        return HyperfaceLabel(
-            HyperfaceLabel.HK, k=int(m.group(1)), shuffle=parse_shuffle(m.group(2))
-        )
+        return hlabel(int(m.group(1)), parse_shuffle(m.group(2)))
     m = re.match(r"^dv\^\{(\d+);(\d+)\}$", text)
     if m:
-        return HyperfaceLabel(HyperfaceLabel.V, k=int(m.group(1)), i=int(m.group(2)))
+        return vlabel(int(m.group(1)), int(m.group(2)))
     raise ParseError(f"bad hyperface label: {text!r}")
+
+
+def parse_hyperface_label(text, shape):
+    """Parse a printed hyperface label; it must name a hyperface of the shape."""
+    text = text.strip()
+    label = _parse_label(text)
+    if label not in dict(hyperfaces(shape)):
+        raise ParseError(f"{text!r} is not a hyperface of {shape}")
+    return label

@@ -371,6 +371,16 @@ class HyperfaceLabel:
         return False
 
 
+def vlabel(k, i):
+    """The label dv^{k;i} of the (k;i)-th vertical hyperface."""
+    return HyperfaceLabel(HyperfaceLabel.V, k=k, i=i)
+
+
+def hlabel(k, shf):
+    """The label dh^{k;shf} of the k-th horizontal hyperface at a shuffle."""
+    return HyperfaceLabel(HyperfaceLabel.HK, k=k, shuffle=shf)
+
+
 def horizontal_face_0(shape):
     """The 0th horizontal face [n-1;q2,...,qn] -> shape (any codimension)."""
     n = shape.n
@@ -435,18 +445,11 @@ def hyperfaces(shape):
         out.append((HyperfaceLabel(HyperfaceLabel.HN, k=n), horizontal_face_n(shape)))
     for k in range(1, n):
         for shf in shuffles(shape.q(k), shape.q(k + 1)):
-            out.append(
-                (
-                    HyperfaceLabel(HyperfaceLabel.HK, k=k, shuffle=shf),
-                    horizontal_hyperface(shape, k, shf),
-                )
-            )
+            out.append((hlabel(k, shf), horizontal_hyperface(shape, k, shf)))
     for k in range(1, n + 1):
         if shape.q(k) >= 1:
             for i in range(shape.q(k) + 1):
-                out.append(
-                    (HyperfaceLabel(HyperfaceLabel.V, k=k, i=i), vertical_hyperface(shape, k, i))
-                )
+                out.append((vlabel(k, i), vertical_hyperface(shape, k, i)))
     return tuple(out)
 
 
@@ -463,14 +466,14 @@ def outer_hyperface_order(shape):
     chain = []
     for k in range(1, n + 1):
         if shape.q(k) >= 1:
-            chain.append(HyperfaceLabel(HyperfaceLabel.V, k=k, i=0))
+            chain.append(vlabel(k, 0))
     if n >= 1 and shape.q(1) == 0:
         chain.append(HyperfaceLabel(HyperfaceLabel.H0))
     if n >= 1 and shape.q(n) == 0:
         chain.append(HyperfaceLabel(HyperfaceLabel.HN, k=n))
     for k in range(1, n + 1):
         if shape.q(k) >= 1:
-            chain.append(HyperfaceLabel(HyperfaceLabel.V, k=k, i=shape.q(k)))
+            chain.append(vlabel(k, shape.q(k)))
     return tuple(chain)
 
 

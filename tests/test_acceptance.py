@@ -444,7 +444,9 @@ def test_criterion_08_replay_certificates():
             if not is_mono_vertebral(s):
                 assert not rep["notes"], ("sigma", s, r, rep["notes"])
             squares += len(rep["steps"])
-        for labels in enumerate_admissible_sets(s, vertical_only=True):
+        for labels in enumerate_admissible_sets(s):
+            if any(l.variant != HyperfaceLabel.V for l in labels):
+                continue
             rep = replay(upsilon_vertical(s, labels))
             assert rep["ok"], ("upsilon-v", s, sorted(map(str, labels)))
             assert not rep["notes"]

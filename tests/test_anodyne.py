@@ -413,7 +413,9 @@ def test_sigma_s_rejects_non_prefix():
 
 def test_upsilon_vertical():
     s = shape(3,)
-    for labels in enumerate_admissible_sets(s, vertical_only=True):
+    for labels in enumerate_admissible_sets(s):
+        if any(l.variant != HyperfaceLabel.V for l in labels):
+            continue
         rep = replay(upsilon_vertical(s, labels))
         assert rep["ok"], sorted(map(str, labels))
 

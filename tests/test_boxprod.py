@@ -17,13 +17,11 @@ from theta2.boxprod import (
     horn_v_leibniz,
     lambda_subobject,
     operator_to_box_cell,
-    psi_contains,
     sigma_subobject,
     spine,
     spine_subobject,
     theta_corner,
     upsilon_subobject,
-    vertical_extension_ambient,
 )
 from theta2.cellset import Cell, Subobject, representable
 from theta2.delta import SimplicialOperator, shuffles
@@ -112,9 +110,7 @@ class TrialBox(TrialSearch, BoxCellSet):
 KERNEL_BOXES = {
     **{f"representable{s}": lambda s=s: box_representable(s, 6) for s in shapes_upto(4)},
     **{
-        f"vertical{shape(*qs)}k{k}": lambda qs=qs, k=k: vertical_extension_ambient(
-            shape(*qs), k, 6
-        )
+        f"vertical{shape(*qs)}k{k}": lambda qs=qs, k=k: equiv_vert(shape(*qs), k, 6)[1]
         for qs, k in [((0,), 1), ((0, 0), 1), ((0, 0), 2), ((0, 1), 1), ((0, 2), 1)]
     },
     "interval-edge": lambda: BoxCellSet(standard_simplex(1), [J], 6),
@@ -210,7 +206,7 @@ def test_spine_iff_monovertebral_is_full():
 def test_equiv_vert_psi_phi():
     s = shape(0,)
     psi, phi, inc = equiv_vert(s, 1, 3)
-    corner = theta_corner(phi, s, 1)
+    corner = theta_corner(phi, 1)
     # base case: the domain is exactly the representable corner
     assert psi.same_cells(corner)
     # suspension target has two nondegenerate cells per level
@@ -219,7 +215,7 @@ def test_equiv_vert_psi_phi():
 
     s = shape(0, 1)
     psi, phi, inc = equiv_vert(s, 1, 4)
-    corner = theta_corner(phi, s, 1)
+    corner = theta_corner(phi, 1)
     assert corner.issubset(psi)
     full = Subobject.full(phi)
     assert psi.nd_count() < full.nd_count()
@@ -245,21 +241,40 @@ def test_equiv_vert_needs_zero_hom():
         equiv_vert(shape(1,), 1, 3)
 
 
-@pytest.mark.parametrize("qs,k", [((0,), 1), ((0, 1), 1), ((0, 0), 2), ((1, 0), 2)])
-def test_equiv_vert_domain_is_leibniz(qs, k):
-    # the unless-clause membership equals the corner-union construction
-    from theta2.boxprod import leibniz_box
-    from theta2.sset import DIAMOND_POINT, boundary_sset
+def _outside_psi(payload, s, k):
+    """The unless-clause: base and every slot but k surjective, FILLED in slot k."""
+    x, comps = payload
+    if set(x) != set(range(s.n + 1)):
+        return False
+    for j, y in zip(range(x[0] + 1, x[-1] + 1), comps):
+        if j != k and set(y) != set(range(s.q(j) + 1)):
+            return False
+    return FILLED in comps[k - 1 - x[0]]
 
+
+# four hand-picked cases, then every other (shape, k) with q_k = 0 and dim <= 4
+_PSI_CASES = [((0,), 1), ((0, 1), 1), ((0, 0), 2), ((1, 0), 2)]
+_PSI_CASES += [
+    (s.qs, k)
+    for s in shapes_upto(4)
+    for k in range(1, s.n + 1)
+    if s.q(k) == 0 and (s.qs, k) not in _PSI_CASES
+]
+
+
+@pytest.mark.parametrize("qs,k", _PSI_CASES)
+def test_equiv_vert_domain_is_leibniz(qs, k):
+    # the Leibniz box over (bd[n] c [n]; bd[q_j] c [q_j], j != k; {diamond} c J
+    # at k) against the membership rule of the extension's definition
     s = shape(*qs)
-    bound = s.dim + 2
-    psi, phi, _ = equiv_vert(s, k, bound)
-    pairs = [
-        (DIAMOND_POINT, J) if j == k else (boundary_sset(q), standard_simplex(q))
-        for j, q in enumerate(s.qs, 1)
-    ]
-    inc = leibniz_box((boundary_sset(s.n), standard_simplex(s.n)), pairs, bound)
-    assert dict(psi.nd) == dict(inc.domain.nd)
+    psi, phi, _ = equiv_vert(s, k, s.dim + 2)
+    assert phi.base == standard_simplex(s.n)
+    assert phi.fibers == tuple(
+        J if j == k else standard_simplex(q) for j, q in enumerate(s.qs, 1)
+    )
+    for sh in phi.shapes():
+        for c in phi.nd_cells(sh):
+            assert psi.contains(Cell(sh, c)) == (not _outside_psi(c, s, k)), (sh, c)
 
 
 def test_equiv_horiz_domain():

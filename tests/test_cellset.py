@@ -12,7 +12,7 @@ from theta2.cellset import (
     subobject_to_json,
     terminal_cellset,
 )
-from theta2.boxprod import equiv_horiz, vertical_extension_ambient
+from theta2.boxprod import equiv_horiz, equiv_vert
 from theta2.sset import J, SimplicialSet, boundary_sset, standard_simplex
 from theta2.theta import (
     CellularOperator,
@@ -88,14 +88,14 @@ def test_action_functorial():
 
 def test_ez_decomposition_unique_presheaf_level():
     # brute force: every cell has exactly one (nondegenerate, degeneracy) split
-    from theta2.boxprod import box_representable, vertical_extension_ambient
+    from theta2.boxprod import box_representable
 
     for amb in (
         representable(shape(1, 1)),
         from_simplicial(J, 3),
         ProductCellSet(from_simplicial(J, 2), representable(shape(0,), 2)),
         box_representable(shape(0, 1), 3),
-        vertical_extension_ambient(shape(0, 1), 1, 3),
+        equiv_vert(shape(0, 1), 1, 3)[1],
     ):
         for sh in amb.shapes():
             if sh.dim > 3:
@@ -406,7 +406,7 @@ class Sphere2(SimplicialSet):
 # the ambients besides representables that replays close, pull back and test
 # in, and a sphere whose hyperface images are all degenerate
 INDEXED_AMBIENTS = {
-    "vertical[2;0,0]k1": lambda: vertical_extension_ambient(shape(0, 0), 1, 4),
+    "vertical[2;0,0]k1": lambda: equiv_vert(shape(0, 0), 1, 4)[1],
     "J x [1;0]": lambda: equiv_horiz(shape(0,), 3).codomain,
     "J": lambda: from_simplicial(J, 3),
     "S2": lambda: from_simplicial(Sphere2(), 3),
@@ -431,10 +431,10 @@ def test_generator_above_bound_rejected():
     s = shape(1, 0)
     with pytest.raises(ThetaError):
         Subobject.generated(representable(s, 2), [Cell(s, identity_cellular(s))])
-    big = vertical_extension_ambient(shape(0, 0), 1, 3)
+    big = equiv_vert(shape(0, 0), 1, 3)[1]
     cell = next(Cell(sh, c) for sh in big.shapes() if sh.dim == 3 for c in big.nd_cells(sh))
     with pytest.raises(ThetaError):
-        Subobject.generated(vertical_extension_ambient(shape(0, 0), 1, 2), [cell])
+        Subobject.generated(equiv_vert(shape(0, 0), 1, 2)[1], [cell])
 
 
 def test_face_index_downsets():

@@ -155,6 +155,11 @@ def test_cli_verify_claims_empty_grid_exit_2(argv, capsys):
         ("classify", "[{0,1};{0,2}]:[1;1]->[1;1]"),
         ("shuffles", "-1", "2"),
         ("verify", "alt-trivial", "--shape", "[2;1,1]", "--k", "1", "--shuffle", "<{0,0},{0,1}>"),
+        ("lambda-s", "[1;2]", "--set", "dv^{7;7}"),
+        ("sigma-s", "[1;2]", "--set", "dh^0"),
+        ("verify", "sigma-s", "--shape", "[1;2]", "--set", "dv^{1;1}"),
+        ("verify", "oury-from-alt", "--shape", "[1;2]", "--set", "dv^{7;7}"),
+        ("verify", "alt-trivial", "--shape", "[2;1,1]", "--k", "3", "--shuffle", "<{0,0,1},{0,1,1}>"),
     ],
     ids=[
         "non-monotone-operator",
@@ -163,6 +168,11 @@ def test_cli_verify_claims_empty_grid_exit_2(argv, capsys):
         "component-out-of-range",
         "negative-grid",
         "shuffle-of-other-grid",
+        "label-out-of-range",
+        "label-not-a-hyperface",
+        "sigma-s-inner-label",
+        "oury-label-out-of-range",
+        "alt-trivial-k-out-of-range",
     ],
 )
 def test_cli_malformed_operator_or_shuffle_exit_2(capsys, argv):
