@@ -17,11 +17,12 @@ def shuffle_slice(labels, k):
     return {l.shuffle for l in labels if l.variant == HyperfaceLabel.HK and l.k == k}
 
 
-def is_downward_closed(shfs, m, n):
-    pool = shuffles(m, n)
-    return all(
-        (t in shfs) or not shuffle_leq(t, s) for s in shfs for t in pool
-    )
+def is_downward_closed(shfs, pool, leq=shuffle_leq):
+    """Whether ``shfs`` holds every element of ``pool`` below one of its own.
+
+    Upward closedness is downward closedness under the reversed order.
+    """
+    return all(t in shfs or not leq(t, s) for s in shfs for t in pool)
 
 
 def is_admissible(shape, labels):
@@ -43,7 +44,7 @@ def is_admissible(shape, labels):
             k_s = k
     if k_s is not None:
         sl = shuffle_slice(labels, k_s)
-        if not is_downward_closed(sl, shape.q(k_s), shape.q(k_s + 1)):
+        if not is_downward_closed(sl, shuffles(shape.q(k_s), shape.q(k_s + 1))):
             return False, k_s
     return True, k_s
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cache, partial
 
-from ..boxprod import horn_h, horn_h_alt, horn_v
+from ..boxprod import horn
 from ..cellset import Cell
 from ..delta import shuffles
 from ..theta import hyperfaces, shapes_upto
@@ -68,19 +68,15 @@ def _family_instances(family, max_dim):
         n = shape.n
         if family in ("inner-h", "inner"):
             for k in range(1, n):
-                yield shape, {"family": "horn-h", "k": k}, horn_h(shape, k)
+                yield shape, *horn(shape, k)
         if family in ("inner-v", "inner"):
             for k in range(1, n + 1):
                 for i in range(1, shape.q(k)):
-                    yield shape, {"family": "horn-v", "k": k, "i": i}, horn_v(shape, k, i)
+                    yield shape, *horn(shape, k, i=i)
         if family == "alt-h":
             for k in range(1, n):
                 for shf in shuffles(shape.q(k), shape.q(k + 1)):
-                    yield shape, {
-                        "family": "horn-h-alt",
-                        "k": k,
-                        "shuffle": str(shf),
-                    }, horn_h_alt(shape, k, shf)
+                    yield shape, *horn(shape, k, shf=shf)
 
 
 def lift_check(target, family, bound):

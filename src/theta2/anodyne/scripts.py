@@ -17,9 +17,7 @@ from ..boxprod import (
     equiv_horiz,
     equiv_vert,
     face_closure,
-    horn_h,
-    horn_v,
-    horn_h_alt,
+    horn,
     lambda_subobject,
     sigma_subobject,
     slot_component,
@@ -29,15 +27,9 @@ from ..boxprod import (
     theta_corner_contains,
 )
 from ..cellset import Cell, Subobject, representable
-from ..delta import (
-    all_monos,
-    shuffle_corners,
-    shuffle_leq,
-    shuffles,
-)
+from ..delta import shuffle_corners, shuffle_leq, shuffles
 from ..sset import DIAMOND, FILLED, J, standard_simplex
 from ..theta import (
-    CellularOperator,
     HyperfaceLabel,
     ThetaError,
     ThetaShape,
@@ -55,7 +47,7 @@ from ..theta import (
     vertical_hyperface,
     vlabel,
 )
-from .admissible import is_admissible, shuffle_slice
+from .admissible import is_admissible, is_downward_closed, shuffle_slice
 from .gluing import GluingStep, verify_gluing_square
 
 
@@ -182,29 +174,18 @@ def _face_step(label, op, expected_w):
 
 
 def _horn_step(label, cell, k, i=None, shf=None, bound=None):
-    """Glue ``cell`` along a horn of its shape.
+    """Glue ``cell`` along the horn ``boxprod.horn(cell.shape, k, i, shf)``.
 
-    The horn is vertical at ``(k; i)`` when ``i`` is given, the alternative
-    horizontal horn at ``(k; shf)`` when ``shf`` is given, and the k-th
-    horizontal horn otherwise.  ``bound`` is the step's truncation bound: the
-    runner glues a cell at the bound as an uncertified tail and a cell above
-    it as a margin attachment, which carries no locus.
+    ``bound`` is the step's truncation bound: the runner glues a cell at the
+    bound as an uncertified tail and a cell above it as a margin attachment,
+    which carries no locus.
     """
     shape = cell.shape
     if bound is not None and shape.dim > bound:
         return GluingStep(label=label, cell=cell, expected_w=None, bound=bound)
-    meta = {"family": "horn-h", "shape": str(shape), "k": k}
-    if i is not None:
-        meta["family"], horn = "horn-v", horn_v(shape, k, i)
-        meta["i"] = i
-    elif shf is not None:
-        meta["family"], horn = "horn-h-alt", horn_h_alt(shape, k, shf)
-        meta["shuffle"] = str(shf)
-    else:
-        horn = horn_h(shape, k)
-    return GluingStep(
-        label=label, cell=cell, expected_w=horn.domain, horn=meta, bound=bound
-    )
+    tag, inc = horn(shape, k, i=i, shf=shf)
+    tag["shape"] = str(shape)
+    return GluingStep(label=label, cell=cell, expected_w=inc.domain, horn=tag, bound=bound)
 
 
 def _horn_stage(ambient, stage, stage_of, bound, key=None):
@@ -271,12 +252,10 @@ def spine_anodyne(shape):
                 sigma_subobject(bottom.src, frozenset([vlabel(1, q - 1)])),
             )
         )
-        for p in range(2, q + 1):
-            for alpha in all_monos(p, q):
-                if {0, 1, q} <= set(alpha.values):
-                    op = vertical_face(shape, alpha)
-                    label = f"glue [id;{alpha.short()}] along horn-v^(1;1)"
-                    steps.append(_horn_step(label, Cell(op.src, op), 1, i=1))
+        for f in faces_into(shape):
+            if f.comps and {0, 1, q} <= set(f.comps[0]):
+                label = f"glue [id;{f.components[0].short()}] along horn-v^(1;1)"
+                steps.append(_horn_step(label, Cell(f.src, f), 1, i=1))
     else:
         dh_n = horizontal_face_n(shape)
         dh_0 = horizontal_face_0(shape)
@@ -299,14 +278,6 @@ def spine_anodyne(shape):
         target=Subobject.full(amb),
         certified_dim=shape.dim,
     )
-
-
-def vertical_face(shape, alpha):
-    """The vertical face [id; alpha] into a one-object-row shape."""
-    if shape.n != 1:
-        raise ThetaError("vertical_face expects a shape [1;q]")
-    src = ThetaShape((alpha.src,))
-    return CellularOperator(src, shape, (0, 1), (alpha.values,))
 
 
 # -- outer-hyperface stage -----------------------------------------------------
@@ -380,16 +351,6 @@ def sigma_s(shape, labels):
 # -- inner-hyperface stages ----------------------------------------------------
 
 
-def _vertical_pullback_labels(before, k, i):
-    t = set()
-    for lbl in before:
-        if lbl.k == k and lbl.i > i:
-            t.add(vlabel(k, lbl.i - 1))
-        else:
-            t.add(vlabel(lbl.k, lbl.i))
-    return frozenset(t)
-
-
 def upsilon_vertical(shape, labels):
     """Attach admissible inner vertical hyperfaces onto the outer stage."""
     labels = set(labels)
@@ -399,11 +360,6 @@ def upsilon_vertical(shape, labels):
     script.name = "upsilon_vertical"
     script.params["labels"] = [str(l) for l in sorted(labels, key=lambda l: (l.k, l.i))]
     return script
-
-
-def _merged_shape(shape, k):
-    qs = shape.qs[: k - 1] + (shape.q(k) + shape.q(k + 1),) + shape.qs[k + 1 :]
-    return ThetaShape(qs)
 
 
 def _singleton_preimages(k, shf, at_k, at_k1):
@@ -424,7 +380,7 @@ def _horizontal_stage_t(shape, k, shf, stage_labels):
     ``stage_labels`` is the stage set including the current face.
     """
     n = shape.n
-    src = _merged_shape(shape, k)
+    src = hyperface_operator(shape, hlabel(k, shf)).src
     before = set(stage_labels) - {hlabel(k, shf)}
     t = set()
     # T1: fully-attached lower horizontal levels transfer wholesale
@@ -494,7 +450,9 @@ def upsilon_full(shape, labels):
     attached = []
     for label in verticals:
         op = hyperface_operator(shape, label)
-        t = _vertical_pullback_labels(attached, label.k, label.i)
+        # verticals attach in (k, i) order: an earlier label at hom k has a
+        # smaller i, so like one at another hom it keeps its index in op.src
+        t = frozenset(attached)
         t_ok, _ = is_admissible(op.src, t)
         if not t_ok:
             notes.append(f"T at {label} is not admissible")
@@ -569,10 +527,7 @@ def oury_from_alt(shape, labels):
         k = ks.pop()
         shfs = {l.shuffle for l in labels}
         pool = shuffles(shape.q(k), shape.q(k + 1))
-        upward = all(
-            (t in shfs) or not shuffle_leq(s, t) for s in shfs for t in pool
-        )
-        if not upward:
+        if not is_downward_closed(shfs, pool, leq=lambda a, b: shuffle_leq(b, a)):
             raise ThetaError("horizontal excluded set must be upward closed")
         remaining = sorted(shfs, key=lambda s: s.alpha.values)
         while len(remaining) >= 2:
@@ -604,7 +559,7 @@ def oury_from_alt(shape, labels):
 
 def _alt_stage_t(shape, k, base, shf):
     """The six-piece locus for the upward-closed alternative-horn lemma."""
-    src = _merged_shape(shape, k)
+    src = hyperface_operator(shape, hlabel(k, shf)).src
     t = set()
     for ell in range(1, src.n):
         for g in shuffles(src.q(ell), src.q(ell + 1)):
@@ -633,10 +588,8 @@ def alt_trivial(shape, k, base_shf, i_set):
     i_set = set(i_set)
     if not i_set or not i_set <= set(up):
         raise ThetaError("index set must be a non-empty subset of the up-set")
-    for s in i_set:
-        for t in up:
-            if shuffle_leq(t, s) and t not in i_set:
-                raise ThetaError("index set must be downward closed in the up-set")
+    if not is_downward_closed(i_set, up):
+        raise ThetaError("index set must be downward closed in the up-set")
     amb = representable(shape)
     all_labels = frozenset(hlabel(k, s) for s in up)
     stilde = frozenset(
@@ -747,24 +700,16 @@ def vert_equiv(shape, k, bound):
 
     def stage4_horn(payload):
         # the horn (k; j) of a cell the psi fork glues, or None; the fork
-        # glues horns only when hom k+1 has positive dimension
-        x = payload[0]
-        if x != delta_vals or shape.q(k + 1) == 0:
+        # glues horns only when hom k+1 has positive dimension.  A
+        # nondegenerate cell over delta_vals that reaches stage 4 has a
+        # filled vertex in slot k (else stage 0 holds it), every other slot
+        # surjective (else stage 3), so each slot alone in its interval is
+        # the identity, and no two equal neighbouring (slot k, slot k+1)
+        # columns
+        if payload[0] != delta_vals or shape.q(k + 1) == 0:
             return None
         ak = slot_component(payload, k)
         ak1 = slot_component(payload, k + 1)
-        if ak is None or FILLED not in ak:
-            return None
-        if not _surjective_comp(ak1, shape.q(k + 1)):
-            return None
-        for slot in range(x[0] + 1, x[-1] + 1):
-            if slot in (k, k + 1):
-                continue
-            if slot_component(payload, slot) != tuple(range(shape.q(slot) + 1)):
-                return None
-        pairs = tuple(zip(ak, ak1))
-        if any(pairs[i] == pairs[i + 1] for i in range(len(pairs) - 1)):
-            return None
         i_a = ak1[max(j for j, v in enumerate(ak) if v == FILLED)]
         if i_a >= 1:
             j_a = min(j for j, v in enumerate(ak1) if v == i_a)

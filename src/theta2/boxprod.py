@@ -29,6 +29,7 @@ from .cellset import (
     from_simplicial,
     representable,
 )
+from .delta import shuffles
 from .sset import (
     DIAMOND,
     DIAMOND_POINT,
@@ -194,10 +195,7 @@ def face_closure(shape, ops):
 @lru_cache(maxsize=None)
 def boundary(shape):
     """All hyperfaces; equivalently everything of lower dimension."""
-    return Inclusion(
-        face_closure(shape, [op for _, op in hyperfaces(shape)]),
-        name=f"boundary{shape}",
-    )
+    return Inclusion(lambda_subobject(shape, ()), name=f"boundary{shape}")
 
 
 @lru_cache(maxsize=None)
@@ -205,16 +203,13 @@ def horn_h(shape, k):
     """All hyperfaces except the k-th horizontal ones; inner iff 1<=k<=n-1."""
     if not 0 <= k <= shape.n:
         raise ThetaError(f"horizontal horn index {k} out of range for {shape}")
-    keep = [
-        op
-        for lbl, op in hyperfaces(shape)
-        if not (
-            (lbl.variant == HyperfaceLabel.HK and lbl.k == k)
-            or (lbl.variant == HyperfaceLabel.H0 and k == 0)
-            or (lbl.variant == HyperfaceLabel.HN and k == shape.n)
-        )
-    ]
-    return Inclusion(face_closure(shape, keep), name=f"horn-h^{k}{shape}")
+    if k == 0:
+        skip = [HyperfaceLabel(HyperfaceLabel.H0)]
+    elif k == shape.n:
+        skip = [HyperfaceLabel(HyperfaceLabel.HN, k=k)]
+    else:
+        skip = [hlabel(k, shf) for shf in shuffles(shape.q(k), shape.q(k + 1))]
+    return Inclusion(lambda_subobject(shape, skip), name=f"horn-h^{k}{shape}")
 
 
 @lru_cache(maxsize=None)
@@ -222,9 +217,7 @@ def horn_v(shape, k, i):
     """All hyperfaces except the (k;i)-th vertical one."""
     if not (1 <= k <= shape.n and shape.q(k) >= 1 and 0 <= i <= shape.q(k)):
         raise ThetaError(f"vertical horn ({k};{i}) out of range for {shape}")
-    skip = vlabel(k, i)
-    keep = [op for lbl, op in hyperfaces(shape) if lbl != skip]
-    return Inclusion(face_closure(shape, keep), name=f"horn-v^{{{k};{i}}}{shape}")
+    return Inclusion(lambda_subobject(shape, [vlabel(k, i)]), name=f"horn-v^{{{k};{i}}}{shape}")
 
 
 @lru_cache(maxsize=None)
@@ -233,8 +226,22 @@ def horn_h_alt(shape, k, shf):
     skip = hlabel(k, shf)
     if skip not in {lbl for lbl, _ in hyperfaces(shape)}:
         raise ThetaError(f"{skip} is not a hyperface of {shape}")
-    keep = [op for lbl, op in hyperfaces(shape) if lbl != skip]
-    return Inclusion(face_closure(shape, keep), name=f"horn-h-alt^{{{k};{shf}}}{shape}")
+    return Inclusion(lambda_subobject(shape, [skip]), name=f"horn-h-alt^{{{k};{shf}}}{shape}")
+
+
+def horn(shape, k, i=None, shf=None):
+    """A horn of ``shape`` with its report tag: ``(tag, Inclusion)``.
+
+    The horn is vertical at ``(k; i)`` when ``i`` is given, the alternative
+    horizontal horn at ``(k; shf)`` when ``shf`` is given, and the k-th
+    horizontal horn otherwise.  The tag is ``{"family", "k"}`` plus ``"i"``
+    or ``"shuffle"``, in that key order.
+    """
+    if i is not None:
+        return {"family": "horn-v", "k": k, "i": i}, horn_v(shape, k, i)
+    if shf is not None:
+        return {"family": "horn-h-alt", "k": k, "shuffle": str(shf)}, horn_h_alt(shape, k, shf)
+    return {"family": "horn-h", "k": k}, horn_h(shape, k)
 
 
 @lru_cache(maxsize=None)

@@ -53,7 +53,14 @@ def _emit(args, doc, text_lines):
         out = doc["dot"]
     else:
         out = "\n".join(text_lines)
-    print(out)
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe early, which does not change the verdict;
+        # stdout goes to devnull so that the flush at exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     report_dir = os.environ.get("THETA2_REPORT_DIR")
     if report_dir:
         os.makedirs(report_dir, exist_ok=True)

@@ -142,11 +142,6 @@ def all_operators(m, n):
     )
 
 
-@lru_cache(maxsize=None)
-def all_monos(m, n):
-    return tuple(f for f in all_operators(m, n) if f.is_mono())
-
-
 class Shuffle:
     """An (m,n)-shuffle, keyed by the surjection alpha : [m+n] ->> [m].
 

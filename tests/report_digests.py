@@ -15,12 +15,19 @@ sets are hashed in iteration order, so the script re-runs itself under
 - the 5 ``lift_check`` reports on J and three 2-category nerves;
 - ``vert_equiv`` for every (shape, k) with q_k = 0 and dim <= 6, at bound 3,
   which takes in the 11 failing cases that ACCEPT-11 pins (all of dim 5 or 6);
-- ``horiz_equiv`` for every shape with n >= 1 and dim <= 3, at bound 3.
+- ``horiz_equiv`` for every shape with n >= 1 and dim <= 3, at bound 3;
+- ``spine_anodyne`` for every shape of dim 6 and 7;
+- ``alt_trivial`` for every (shape, k, base) of dim <= 5 and every index
+  set that is downward closed in the up-set of base;
+- ``oury_from_alt`` for every valid excluded set of a shape of dim <= 5:
+  a non-empty set of inner verticals at one hom, or a non-empty upward
+  closed set of horizontals at one level.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -33,8 +40,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from theta2 import twocat  # noqa: E402
 from theta2.anodyne import (  # noqa: E402
+    alt_trivial,
     horiz_equiv,
     lift_check,
+    oury_from_alt,
     replay,
     run_claims_suite,
     sigma_s,
@@ -44,8 +53,26 @@ from theta2.anodyne import (  # noqa: E402
 )
 from theta2.anodyne.admissible import enumerate_admissible_sets  # noqa: E402
 from theta2.cellset import from_simplicial  # noqa: E402
+from theta2.delta import shuffle_leq, shuffles  # noqa: E402
 from theta2.sset import J  # noqa: E402
-from theta2.theta import ThetaShape, outer_hyperface_order, shapes_upto  # noqa: E402
+from theta2.theta import (  # noqa: E402
+    ThetaShape,
+    hlabel,
+    outer_hyperface_order,
+    shapes_upto,
+    vlabel,
+)
+
+
+def _subsets(pool):
+    """The non-empty subsets of ``pool``, by size, then in pool order."""
+    for r in range(1, len(pool) + 1):
+        yield from itertools.combinations(pool, r)
+
+
+def _closed(subset, pool, leq):
+    """Whether ``subset`` holds every element of ``pool`` below one of its own."""
+    return all(t in subset or not leq(t, s) for s in subset for t in pool)
 
 
 def corpus():
@@ -92,6 +119,34 @@ def corpus():
     for shape in shapes_upto(3):
         if shape.n >= 1:
             yield f"horiz_equiv {shape} bound=3", lambda s=shape: replay(horiz_equiv(s, 3))
+    for shape in shapes_upto(7):
+        if shape.dim >= 6:
+            yield f"spine_anodyne {shape}", lambda s=shape: replay(spine_anodyne(s))
+    for shape in shapes_upto(5):
+        for k in range(1, shape.n):
+            pool = shuffles(shape.q(k), shape.q(k + 1))
+            for base in pool:
+                up = [s for s in pool if shuffle_leq(base, s)]
+                for i_set in _subsets(up):
+                    if _closed(i_set, up, shuffle_leq):
+                        name = f"alt_trivial {shape} k={k} base={base} {[str(s) for s in i_set]}"
+                        yield name, lambda s=shape, k=k, b=base, i=i_set: replay(
+                            alt_trivial(s, k, b, set(i))
+                        )
+    for shape in shapes_upto(5):
+        excluded = []
+        for k in range(1, shape.n + 1):
+            excluded += _subsets([vlabel(k, i) for i in range(1, shape.q(k))])
+        for k in range(1, shape.n):
+            pool = shuffles(shape.q(k), shape.q(k + 1))
+            excluded += (
+                [hlabel(k, s) for s in shfs]
+                for shfs in _subsets(pool)
+                if _closed(shfs, pool, lambda a, b: shuffle_leq(b, a))
+            )
+        for labels in excluded:
+            name = f"oury_from_alt {shape} {[str(l) for l in labels]}"
+            yield name, lambda s=shape, ls=labels: replay(oury_from_alt(s, set(ls)))
 
 
 def main():

@@ -23,6 +23,7 @@ from theta2.anodyne.lifting import _family_instances
 from theta2.boxprod import boundary, horn_v, spine_subobject, sigma_subobject
 from theta2.cellset import Cell, Subobject, from_simplicial, representable
 from theta2.delta import shuffles
+from theta2.grammar import parse_hyperface_label, parse_shuffle
 from theta2.sset import J
 from theta2.theta import (
     CellularOperator,
@@ -472,6 +473,45 @@ def test_alt_trivial_rejects_bad_index_set():
         alt_trivial(s, 1, lo, {hi})  # not downward closed in the up-set
     with pytest.raises(ThetaError):
         alt_trivial(s, 1, lo, set())
+
+
+def _upsilon_case(qs, texts):
+    s = shape(*qs)
+    return lambda: upsilon_full(s, {parse_hyperface_label(t, s) for t in texts})
+
+
+def _alt_case(qs, k, base):
+    shf = parse_shuffle(base)
+    return lambda: alt_trivial(shape(*qs), k, shf, {shf})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        _upsilon_case((4,), ["dv^{1;1}", "dv^{1;2}"]),
+        _upsilon_case((1, 1, 0), ["dh^{1;<{0,0,1},{0,1,1}>}", "dh^{2;<{0,1},{0,0}>}"]),
+        _upsilon_case((2, 0, 0), ["dh^{2;<{0},{0}>}", "dv^{1;1}"]),
+        _upsilon_case((0, 0, 2), ["dh^{1;<{0},{0}>}", "dv^{3;1}"]),
+        _alt_case((0, 1, 1), 2, "<{0,0,1},{0,1,1}>"),
+        _alt_case((1, 2), 1, "<{0,0,0,1},{0,1,2,2}>"),
+        _alt_case((2, 2), 1, "<{0,1,1,1,2},{0,0,1,2,2}>"),
+        _alt_case((2, 1, 1), 2, "<{0,0,1},{0,1,1}>"),
+    ],
+    ids=[
+        "several-verticals",
+        "T1-upper-level",
+        "T3-below-k",
+        "T3-above-k+1",
+        "alt-base",
+        "alt-upper-corners",
+        "alt-agreeing-lower-corners",
+        "alt-other-hom-verticals",
+    ],
+)
+def test_predicted_locus_branches(build):
+    # each case runs a branch of the predicted loci that no other test runs
+    rep = replay(build())
+    assert rep["ok"] and rep["notes"] == []
 
 
 def test_vert_equiv_base_case():

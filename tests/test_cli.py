@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from theta2 import boxprod, twocat
+from theta2.anodyne import lift_check, oury_from_alt, replay, upsilon_vertical
+from theta2.cellset import representable
 from theta2.cli import main
 from theta2.grammar import (
     ParseError,
@@ -336,6 +339,119 @@ def test_cli_bad_2cat_file_exit_2(tmp_path, capsys, text, message, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def _domain_twin(inc):
+    return {
+        "inclusion": inc.name,
+        "generators": [str(c.payload) for c in inc.domain.iter_nd()],
+        "nd_count": inc.domain.nd_count(),
+    }
+
+
+def _nerve_twin(cat, bound):
+    nv = twocat.nerve(cat, bound)
+    return {"levels": [{"shape": str(s), "cells": len(nv.cells(s))} for s in shapes_upto(bound)]}
+
+
+def _replay_twin(script, qs, texts):
+    s = ThetaShape(qs)
+    return replay(script(s, {parse_hyperface_label(t, s) for t in texts}))
+
+
+@pytest.mark.parametrize(
+    "argv, twin",
+    [
+        (
+            ("horn", "[2;0,0]", "--family", "h", "--k", "1"),
+            lambda: _domain_twin(boxprod.horn_h(ThetaShape((0, 0)), 1)),
+        ),
+        (
+            ("horn", "[2;1,1]", "--family", "h-alt", "--k", "1", "--shuffle", "<{0,0,1},{0,1,1}>"),
+            lambda: _domain_twin(
+                boxprod.horn_h_alt(ThetaShape((1, 1)), 1, parse_shuffle("<{0,0,1},{0,1,1}>"))
+            ),
+        ),
+        (("nerve", "chaotic"), lambda: _nerve_twin(twocat.chaotic_2cat(), 4)),
+        (("nerve", "suspension"), lambda: _nerve_twin(twocat.suspension_of_chaotic(), 4)),
+        (
+            ("lift", "--x", "representable:[2;0,0]", "--family", "inner-h", "--bound", "3"),
+            lambda: lift_check(representable(ThetaShape((0, 0)), 3), "inner-h", 3),
+        ),
+        (
+            ("lift", "--x", "nerve:{file}"),
+            lambda: lift_check(twocat.nerve(twocat.chaotic_2cat(), 4), "inner", 4),
+        ),
+        (
+            ("verify", "upsilon-vertical", "--shape", "[1;3]", "--set", "dv^{1;1}"),
+            lambda: _replay_twin(upsilon_vertical, (3,), ["dv^{1;1}"]),
+        ),
+        (
+            ("verify", "oury-from-alt", "--shape", "[1;3]")
+            + ("--set", "dv^{1;1}", "--set", "dv^{1;2}"),
+            lambda: _replay_twin(oury_from_alt, (3,), ["dv^{1;1}", "dv^{1;2}"]),
+        ),
+        (
+            ("verify", "oury-from-alt", "--shape", "[2;1,1]", "--set", "dh^{1;<{0,1,1},{0,0,1}>}"),
+            lambda: _replay_twin(oury_from_alt, (1, 1), ["dh^{1;<{0,1,1},{0,0,1}>}"]),
+        ),
+    ],
+    ids=[
+        "horn-h",
+        "horn-h-alt",
+        "nerve-chaotic",
+        "nerve-suspension",
+        "lift-representable",
+        "lift-nerve-file",
+        "verify-upsilon-vertical",
+        "verify-oury-from-alt-v",
+        "verify-oury-from-alt-h",
+    ],
+)
+def test_cli_branch_matches_library(tmp_path, argv, twin):
+    path = tmp_path / "chaotic.2cat"
+    path.write_text(twocat.format_2cat(twocat.chaotic_2cat()))
+    argv = [a.replace("{file}", str(path)) for a in argv]
+    code, _ = run_cli(*argv)
+    assert code == 0
+    code, out = run_cli("--format", "json", *argv)
+    assert code == 0
+    doc, want = json.loads(out), json.loads(json.dumps(twin()))
+    assert {key: doc[key] for key in want} == want
+
+
+def test_cli_lift_text_keeps_horn_tag_key_order():
+    # the text report prints each horn tag as a dict: family, k, then i or shuffle
+    _, out = run_cli("lift", "--x", "J", "--family", "inner", "--bound", "4")
+    assert out.splitlines()[:2] == [
+        "[2;0,0] {'family': 'horn-h', 'k': 1}: 8/8 filled",
+        "[1;2] {'family': 'horn-v', 'k': 1, 'i': 1}: 4/4 filled",
+    ]
+    _, out = run_cli("lift", "--x", "J", "--family", "alt-h", "--bound", "3")
+    assert out.splitlines()[0] == (
+        "[2;0,0] {'family': 'horn-h-alt', 'k': 1, 'shuffle': '<{0},{0}>'}: 8/8 filled"
+    )
+
+
+def test_cli_closed_pipe_keeps_exit_status():
+    # the report (632,626 bytes) outgrows the pipe buffer, so printing it
+    # meets the closed pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "theta2.cli", "enumerate"]
+        + ["--shape", "[3;2,2,2]", "--at", "[3;2,2,2]"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=ROOT,
+    )
+    assert len(proc.stdout.read(300)) == 300
+    proc.stdout.close()
+    try:
+        code = proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert code == 0 and err == b""
 
 
 def test_cli_bad_script_params_exit_2():
