@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import eq, ne
 
 from .cellset import (
     Cell,
@@ -40,7 +41,6 @@ from .sset import (
     standard_simplex,
 )
 from .theta import (
-    CellularOperator,
     HyperfaceLabel,
     ThetaError,
     act_values,
@@ -62,6 +62,7 @@ class BoxCellSet(TruncatedCellularSet):
         self.base = base
         self.fibers = tuple(fibers)
         self.n = len(self.fibers)
+        self._nd_rows_memo = {}
 
     def fiber(self, j):
         return self.fibers[j - 1]
@@ -75,6 +76,31 @@ class BoxCellSet(TruncatedCellularSet):
                 out.append((x, comps))
         return out
 
+    def _compute_nd_cells(self, shape):
+        # the cells on which reedy_runs collapses nothing: x has no equal
+        # neighbours, and no joint column over an interval repeats the one before
+        out = []
+        for x in self.base.level(shape.n):
+            if any(map(eq, x, x[1:])):
+                continue
+            parts = [self._nd_rows(a, b, p) for a, b, p in zip(x, x[1:], shape.qs)]
+            for rows in itertools.product(*parts):
+                out.append((x, tuple(itertools.chain.from_iterable(rows))))
+        return tuple(sorted(out))
+
+    def _nd_rows(self, a, b, p):
+        """The rows over an interval (a, b] of a nondegenerate cell at level p:
+        a p-simplex of each fiber S_j, a < j <= b, whose joint columns never
+        repeat their neighbour."""
+        rows = self._nd_rows_memo.get((a, b, p))
+        if rows is None:
+            rows = self._nd_rows_memo[a, b, p] = []
+            for r in itertools.product(*[self.fiber(j).level(p) for j in range(a + 1, b + 1)]):
+                cols = tuple(zip(*r))
+                if all(map(ne, cols, cols[1:])):
+                    rows.append(r)
+        return rows
+
     def _act(self, cell, op):
         return Cell(op.src, act_values(op, *cell.payload))
 
@@ -85,23 +111,6 @@ class BoxCellSet(TruncatedCellularSet):
     def __repr__(self):
         fibs = ",".join(f.name for f in self.fibers)
         return f"BoxCellSet(n={self.n}, base={self.base.name}, fibers=[{fibs}], bound={self.bound})"
-
-
-def box_representable(shape, bound=None):
-    """box(id; Delta[q1],...,Delta[qn]), isomorphic to the representable."""
-    if bound is None:
-        bound = shape.dim
-    return BoxCellSet(standard_simplex(shape.n), [standard_simplex(q) for q in shape.qs], bound)
-
-
-def box_cell_to_operator(box, cell, shape_codomain):
-    """Transport a cell of box(id; Delta[q*]) to an operator into [n;q]."""
-    return CellularOperator(cell.shape, shape_codomain, *cell.payload)
-
-
-def operator_to_box_cell(f):
-    """Inverse transport: an operator into [n;q] as a box cell payload."""
-    return Cell(f.src, (f.x, f.comps))
 
 
 # -- Leibniz construction ---------------------------------------------------

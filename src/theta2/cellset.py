@@ -12,7 +12,10 @@ nondegenerate cell below it (``TruncatedCellularSet.nd_index``).  A
 downset ORs the downsets of the cell's hyperface images; an image is
 looked up by id and decomposed only when it is degenerate.  On a
 representable the nondegenerate cells are the faces, and a face of a
-face is a face, so no image is ever decomposed there.
+face is a face, so no image is ever decomposed there.  On a box they are
+the cells on which ``reedy_runs`` collapses nothing, and the box builds
+them directly (``boxprod.BoxCellSet``); other ambients filter ``cells``
+by ``is_nondegenerate``.
 
 A subobject is its ambient and the bitmask of its nondegenerate members.
 Closure ORs downsets, membership tests the bit of a cell's ``nd_id`` (the

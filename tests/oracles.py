@@ -2,7 +2,9 @@
 
 import itertools
 
+from theta2.boxprod import BoxCellSet
 from theta2.cellset import Cell, Subobject, TruncatedCellularSet
+from theta2.sset import standard_simplex
 from theta2.theta import (
     CellularOperator,
     compose_cellular,
@@ -42,6 +44,10 @@ class TrialSearch:
     def is_nondegenerate(self, cell):
         return self.nd_decompose(cell)[0] == cell
 
+    def _compute_nd_cells(self, shape):
+        # filter every cell by the trial search, whatever the ambient builds
+        return tuple(c for c in self.cells(shape) if self.is_nondegenerate(Cell(shape, c)))
+
 
 class TrialOracle(TrialSearch, TruncatedCellularSet):
     """An ambient's cells and action, decomposed by the trial search."""
@@ -55,6 +61,26 @@ class TrialOracle(TrialSearch, TruncatedCellularSet):
 
     def _act(self, cell, op):
         return self.ambient._act(cell, op)
+
+
+# -- the representable as a box ------------------------------------------------
+
+
+def box_representable(shape, bound=None):
+    """box(id; Delta[q1],...,Delta[qn]), isomorphic to the representable."""
+    if bound is None:
+        bound = shape.dim
+    return BoxCellSet(standard_simplex(shape.n), [standard_simplex(q) for q in shape.qs], bound)
+
+
+def box_cell_to_operator(box, cell, shape_codomain):
+    """Transport a cell of box(id; Delta[q*]) to an operator into [n;q]."""
+    return CellularOperator(cell.shape, shape_codomain, *cell.payload)
+
+
+def operator_to_box_cell(f):
+    """Inverse transport: an operator into [n;q] as a box cell payload."""
+    return Cell(f.src, (f.x, f.comps))
 
 
 # -- gluing squares by the where/contains path ----------------------------------

@@ -1,9 +1,13 @@
-"""Print one ``name sha256`` line per report of a fixed corpus.
+"""Print one ``name sha256`` line per report of a fixed corpus, or check
+the reports against the committed ledger ``tests/report_digests.txt``.
 
-A refactor that must keep every report byte-identical runs this script on
-both commits and diffs the two outputs:
+    python tests/report_digests.py > tests/report_digests.txt  # rewrite
+    python tests/report_digests.py --check           # every report
+    python tests/report_digests.py --check --slice   # the Tier-1 slice
 
-    python tests/report_digests.py > after.txt
+``--check`` names each changed, added or missing report and exits 1 on any
+drift.  ``--slice`` keeps the reports on a shape of dim <= 3 and the lift
+reports.  A change that alters a report on purpose rewrites the ledger.
 
 The digest is the sha256 of ``json.dumps(report, sort_keys=True)``.  Label
 sets are hashed in iteration order, so the script re-runs itself under
@@ -26,6 +30,7 @@ sets are hashed in iteration order, so the script re-runs itself under
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import itertools
 import json
@@ -54,6 +59,7 @@ from theta2.anodyne import (  # noqa: E402
 from theta2.anodyne.admissible import enumerate_admissible_sets  # noqa: E402
 from theta2.cellset import from_simplicial  # noqa: E402
 from theta2.delta import shuffle_leq, shuffles  # noqa: E402
+from theta2.grammar import parse_shape  # noqa: E402
 from theta2.sset import J  # noqa: E402
 from theta2.theta import (  # noqa: E402
     ThetaShape,
@@ -62,6 +68,9 @@ from theta2.theta import (  # noqa: E402
     shapes_upto,
     vlabel,
 )
+
+
+LEDGER = Path(__file__).with_name("report_digests.txt")
 
 
 def _subsets(pool):
@@ -149,11 +158,50 @@ def corpus():
             yield name, lambda s=shape, ls=labels: replay(oury_from_alt(s, set(ls)))
 
 
+def in_slice(name):
+    """Whether the report is a lift report or one on a shape of dim <= 3."""
+    kind, arg = name.split(" ")[:2]
+    return kind == "lift" or (arg.startswith("[") and parse_shape(arg).dim <= 3)
+
+
+def digest(report):
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def check(reports, want):
+    """Compare (name, thunk) reports with the ledger's digests; the drift count."""
+    drift, seen = 0, set()
+    for name, thunk in reports:
+        seen.add(name)
+        if name not in want:
+            print("added", name, flush=True)
+        elif digest(thunk()) != want[name]:
+            print("changed", name, flush=True)
+        else:
+            continue
+        drift += 1
+    for name in want.keys() - seen:
+        print("missing", name)
+        drift += 1
+    print(f"{len(seen)} reports, {drift} drifted from {LEDGER.name}")
+    return drift
+
+
 def main():
-    for name, thunk in corpus():
-        text = json.dumps(thunk(), sort_keys=True)
-        print(name, hashlib.sha256(text.encode()).hexdigest(), flush=True)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true", help=f"compare with {LEDGER.name}")
+    parser.add_argument("--slice", action="store_true", help="dim <= 3 and the lift reports")
+    args = parser.parse_args()
+    reports = [(n, t) for n, t in corpus() if not args.slice or in_slice(n)]
+    if not args.check:
+        for name, thunk in reports:
+            print(name, digest(thunk()), flush=True)
+        return 0
+    want = dict(line.rsplit(" ", 1) for line in LEDGER.read_text().splitlines())
+    if args.slice:
+        want = {n: d for n, d in want.items() if in_slice(n)}
+    return 1 if check(reports, want) else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

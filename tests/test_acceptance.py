@@ -31,8 +31,6 @@ from theta2.anodyne.admissible import enumerate_admissible_sets
 from theta2.boxprod import (
     boundary,
     boundary_leibniz,
-    box_cell_to_operator,
-    box_representable,
     horn_h,
     horn_h_leibniz,
     horn_v,
@@ -69,6 +67,8 @@ from theta2.theta import (
     vertical_hyperface,
 )
 from theta2.twocat import free_cell_2cat, nerve
+
+from oracles import box_cell_to_operator, box_representable
 
 
 def report(num, name, t0, budget):

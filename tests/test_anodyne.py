@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from theta2.anodyne import (
@@ -556,6 +560,27 @@ def test_horiz_equiv_small():
 def test_horiz_equiv_rejects_terminal():
     with pytest.raises(ThetaError):
         horiz_equiv(shape(), 3)
+
+
+def test_report_digests_match_ledger_slice():
+    # the reports on shapes of dim <= 3 and the lift reports hash as in the
+    # committed ledger, tests/report_digests.txt; the script names any drift
+    script = Path(__file__).with_name("report_digests.py")
+    proc = subprocess.run(
+        [sys.executable, str(script), "--check", "--slice"], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.endswith("77 reports, 0 drifted from report_digests.txt\n")
+
+
+def test_equivalence_extension_sweep_dim_4():
+    # every vertical extension (q_k = 0) and every horizontal one of dim <= 4
+    vert = [(s, k) for s in shapes_upto(4) for k in range(1, s.n + 1) if s.q(k) == 0]
+    horiz = [s for s in shapes_upto(4) if s.n >= 1]
+    assert (len(vert), len(horiz)) == (20, 15)
+    failed = [f"vert {s} k={k}" for s, k in vert if not replay(vert_equiv(s, k, 3))["ok"]]
+    failed += [f"horiz {s}" for s in horiz if not replay(horiz_equiv(s, 3))["ok"]]
+    assert failed == []
 
 
 @pytest.mark.parametrize("bound", [-1, 0])

@@ -1,13 +1,11 @@
 import pytest
-from oracles import TrialSearch
+from oracles import TrialSearch, box_cell_to_operator, box_representable, operator_to_box_cell
 
 from theta2.boxprod import (
     BoxCellSet,
     Inclusion,
     boundary,
     boundary_leibniz,
-    box_cell_to_operator,
-    box_representable,
     equiv_horiz,
     equiv_vert,
     horn_h,
@@ -16,7 +14,6 @@ from theta2.boxprod import (
     horn_v,
     horn_v_leibniz,
     lambda_subobject,
-    operator_to_box_cell,
     sigma_subobject,
     spine,
     spine_subobject,
@@ -25,7 +22,7 @@ from theta2.boxprod import (
 )
 from theta2.cellset import Cell, Subobject, representable
 from theta2.delta import SimplicialOperator, shuffles
-from theta2.sset import DIAMOND, FILLED, J, standard_simplex
+from theta2.sset import DIAMOND, FILLED, J, boundary_sset, horn_sset, standard_simplex
 from theta2.theta import (
     CellularOperator,
     HyperfaceLabel,
@@ -106,7 +103,8 @@ class TrialBox(TrialSearch, BoxCellSet):
 
 
 # the representable boxes, the interval-replay ambients, the interval edge
-# of the vertical extension, and the Leibniz boundary codomains
+# of the vertical extension, the Leibniz boundary codomains, and a box over
+# a horn with mixed fibers, whose base is not a standard simplex
 KERNEL_BOXES = {
     **{f"representable{s}": lambda s=s: box_representable(s, 6) for s in shapes_upto(4)},
     **{
@@ -115,6 +113,9 @@ KERNEL_BOXES = {
     },
     "interval-edge": lambda: BoxCellSet(standard_simplex(1), [J], 6),
     **{f"leibniz{s}": lambda s=s: boundary_leibniz(s).codomain for s in shapes_upto(4)},
+    "horn-base": lambda: BoxCellSet(
+        horn_sset(3, 1), [J, boundary_sset(2), standard_simplex(1)], 5
+    ),
 }
 
 

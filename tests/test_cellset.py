@@ -38,7 +38,7 @@ from theta2.twocat import (
     suspension_of_chaotic,
 )
 
-from oracles import TrialOracle, TrialSearch
+from oracles import TrialOracle, TrialSearch, box_representable
 
 
 def shape(*qs):
@@ -88,8 +88,6 @@ def test_action_functorial():
 
 def test_ez_decomposition_unique_presheaf_level():
     # brute force: every cell has exactly one (nondegenerate, degeneracy) split
-    from theta2.boxprod import box_representable
-
     for amb in (
         representable(shape(1, 1)),
         from_simplicial(J, 3),
