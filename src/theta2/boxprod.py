@@ -101,6 +101,19 @@ class BoxCellSet(TruncatedCellularSet):
                     rows.append(r)
         return rows
 
+    def contains_cell(self, cell):
+        # decided by the base and the fibers, without the cell tuple: the base
+        # simplex at level n, then one row of length q + 1 per covered index
+        shape, (x, comps) = cell.shape, cell.payload
+        if shape.dim > self.bound or len(x) != shape.n + 1 or not self.base.contains(x):
+            return False
+        if len(comps) != x[-1] - x[0]:
+            return False
+        return all(
+            len(y) == shape.q(interval_index(x, j)) + 1 and self.fiber(j).contains(y)
+            for j, y in enumerate(comps, x[0] + 1)
+        )
+
     def _act(self, cell, op):
         return Cell(op.src, act_values(op, *cell.payload))
 

@@ -12,7 +12,9 @@ nondegenerate cell below it (``TruncatedCellularSet.nd_index``).  A
 downset ORs the downsets of the cell's hyperface images; an image is
 looked up by id and decomposed only when it is degenerate.  On a
 representable the nondegenerate cells are the faces, and a face of a
-face is a face, so no image is ever decomposed there.  On a box they are
+face is a face, so no image is ever decomposed there: its index is the
+prefix of ``theta.face_table`` within the bound, and its downsets OR over
+the table's hyperface ids ``hf``.  On a box they are
 the cells on which ``reedy_runs`` collapses nothing, and the box builds
 them directly (``boxprod.BoxCellSet``); other ambients filter ``cells``
 by ``is_nondegenerate``.
@@ -21,24 +23,28 @@ A subobject is its ambient and the bitmask of its nondegenerate members.
 Closure ORs downsets, membership tests the bit of a cell's ``nd_id`` (the
 id of its nondegenerate part, or the index size above the bound), the
 lattice operations are integer operations, and a pullback reads bits
-through a table of ``nd_id``s, cached per cell for ``pullback_along``.  The
+through a table of ``nd_id``s, cached per cell for ``pullback_along``.  A
+representable reads the table of a face off the ``hf`` ids too, walking
+each face of the face's shape down from its parent; a degenerate cell,
+and every other ambient, acts on each face.  The
 differential tests in ``tests/test_cellset.py`` check all of this against
 a closure by decomposition of hyperface images.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
 from operator import ne
 
-from .sset import standard_simplex
 from .theta import (
     CellularOperator,
     ThetaError,
     ThetaShape,
     cellular_ops,
     compose_cellular,
+    face_table,
     faces_between,
     hyperfaces,
     identity_cellular,
@@ -152,20 +158,31 @@ class TruncatedCellularSet:
     def nd_index(self):
         """The nondegenerate cells of dimension <= bound, numbered, with downsets."""
         if self._nd_index is None:
-            cells, sizes = [], [0] * (self.bound + 1)
-            for shape in self.shapes():  # sorted by dimension first
-                cells.extend(Cell(shape, c) for c in self.nd_cells(shape))
-                sizes[shape.dim] = len(cells)
+            cells, sizes = self._index_cells()
             # the ids are complete before the downsets, which look images up
             self._nd_ids = {cell: i for i, cell in enumerate(cells)}
             down = []
-            for i, cell in enumerate(cells):
+            for i, row in enumerate(self._hyperface_ids(cells)):
                 mask = 1 << i
-                for _, h in hyperfaces(cell.shape):
-                    mask |= down[self.nd_id(self._act(cell, h))]
+                for j in row:
+                    mask |= down[j]
                 down.append(mask)
-            self._nd_index = NdIndex(tuple(cells), self._nd_ids, down, sizes)
+            self._nd_index = NdIndex(cells, self._nd_ids, down, sizes)
         return self._nd_index
+
+    def _index_cells(self):
+        """The nondegenerate cells in index order, and per dimension d the
+        number of them of dimension <= d."""
+        cells, sizes = [], [0] * (self.bound + 1)
+        for shape in self.shapes():  # sorted by dimension first
+            cells.extend(Cell(shape, c) for c in self.nd_cells(shape))
+            sizes[shape.dim] = len(cells)
+        return tuple(cells), sizes
+
+    def _hyperface_ids(self, cells):
+        """Per cell, the ``nd_id``s of its hyperface images, in ``hyperfaces`` order."""
+        for cell in cells:
+            yield [self.nd_id(self._act(cell, h)) for _, h in hyperfaces(cell.shape)]
 
     def nd_id(self, cell):
         """The index id of the cell's nondegenerate part; the index size when
@@ -182,11 +199,14 @@ class TruncatedCellularSet:
         """Per face g of ``representable(cell.shape)``, in index order, ``nd_id(cell . g)``."""
         table = self._pullback_tables.get(cell)
         if table is None:
-            table = self._pullback_tables[cell] = tuple(
-                self.nd_id(self._act(cell, g.payload))
-                for g in representable(cell.shape).nd_index().cells
-            )
+            table = self._pullback_tables[cell] = self._compute_pullback_table(cell)
         return table
+
+    def _compute_pullback_table(self, cell):
+        return tuple(
+            self.nd_id(self._act(cell, g.payload))
+            for g in representable(cell.shape).nd_index().cells
+        )
 
 
 class Representable(TruncatedCellularSet):
@@ -202,6 +222,31 @@ class Representable(TruncatedCellularSet):
     def _compute_nd_cells(self, shape):
         # the nondegenerate cells are the faces, sorted like ``cells``
         return faces_between(shape, self.shape)
+
+    def _index_cells(self):
+        # the faces are sorted by dimension first: those within the bound
+        # are a prefix of the face table
+        faces = face_table(self.shape).faces
+        dims = [f.src.dim for f in faces]
+        sizes = [bisect_right(dims, d) for d in range(self.bound + 1)]
+        return tuple([Cell(f.src, f) for f in faces[: sizes[-1]]]), sizes
+
+    def _hyperface_ids(self, cells):
+        return face_table(self.shape).hf[: len(cells)]
+
+    def _compute_pullback_table(self, cell):
+        # a face's table walks each face of its shape down from a parent:
+        # the a-th hyperface image of the image of that parent
+        i = self.nd_index().ids.get(cell)
+        if i is None:  # a degenerate cell, or one above the bound
+            return super()._compute_pullback_table(cell)
+        hf = face_table(self.shape).hf
+        parents = face_table(cell.shape).parents
+        table = [i] * len(parents)
+        for k in range(len(parents) - 2, -1, -1):
+            k1, a = parents[k]
+            table[k] = hf[table[k1]][a]
+        return tuple(table)
 
     def _act(self, cell, op):
         return Cell(op.src, compose_cellular(op, cell.payload))
@@ -286,10 +331,6 @@ class ProductCellSet(TruncatedCellularSet):
 
     def __repr__(self):
         return f"ProductCellSet({self.left!r}, {self.right!r}, bound={self.bound})"
-
-
-def terminal_cellset(bound):
-    return FromSimplicial(standard_simplex(0), bound)
 
 
 # -- subobjects -------------------------------------------------------------

@@ -59,24 +59,6 @@ def _parse_values(text):
     return tuple(int(x) for x in body.split(","))
 
 
-def parse_simplicial(text, src=None, dst=None):
-    text = text.strip()
-    if ":" in text:
-        body, arrow = text.split(":", 1)
-        m = re.match(r"^\[(\d+)\]->\[(\d+)\]$", arrow.strip())
-        if not m:
-            raise ParseError(f"bad operator endpoints: {arrow!r}")
-        src, dst = int(m.group(1)), int(m.group(2))
-    else:
-        body = text
-    vals = _parse_values(body)
-    if dst is None:
-        dst = max(vals)
-    if src is not None and len(vals) != src + 1:
-        raise ParseError(f"operator {text!r} has source [{len(vals) - 1}], expected [{src}]")
-    return SimplicialOperator(vals, dst)
-
-
 _CELLULAR_RE = re.compile(r"^\[(\{[\d,]*\})\s*;\s*(.*)\]$")
 
 

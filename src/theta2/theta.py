@@ -12,13 +12,16 @@ and free-nerve cells all use this convention, so the value kernels below
 act, compose and Reedy-factor once for all of them.  Reedy factorisation
 reads runs (``reedy_runs``), which every cellular set gives for its cells.
 The faces into a shape are built, not searched for: they are the closure
-of its identity under hyperfaces (``faces_into``).
+of its identity under hyperfaces, run on cell data, which keeps each
+face's hyperface images as ids (``face_table``; ``faces_into`` is its
+faces).
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from functools import lru_cache
 from operator import attrgetter
 
@@ -498,26 +501,56 @@ def cellular_ops(src, dst):
     return tuple(out)
 
 
+class FaceTable(namedtuple("FaceTable", ["faces", "hf", "parents"])):
+    """The faces into a shape, numbered, with their hyperface images by id.
+
+    ``faces`` is sorted like operators.  ``hf[i]`` holds the ids of the
+    images of face i under ``hyperfaces(faces[i].src)``, in that order, and
+    ``parents[i]`` one pair (k, a) with ``hf[k][a] == i``; the identity,
+    which comes last, has none.  A parent always comes after its face.
+    """
+
+
+@lru_cache(maxsize=None)
+def face_table(dst):
+    """The closure of the identity of dst under hyperfaces, run on cell data.
+
+    It holds only faces, since a face of a face is a face, and it holds
+    every face, since every face other than the identity factors through
+    a hyperface.  Each face gets an id when it is first found; the ids are
+    remapped once after sorting, and each face becomes an operator once.
+    """
+    keys = [(dst, tuple(range(dst.n + 1)), _ids(dst.qs))]
+    found = {keys[0]: 0}
+    hf, parents = [], [None]
+    for i, (src, x, comps) in enumerate(keys):  # keys grows as faces are found
+        row = []
+        for a, (_, h) in enumerate(hyperfaces(src)):
+            key = (h.src, *act_values(h, x, comps))
+            j = found.get(key)
+            if j is None:
+                j = found[key] = len(keys)
+                keys.append(key)
+                parents.append((i, a))
+            row.append(j)
+        hf.append(row)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    new = [0] * len(order)
+    for k, i in enumerate(order):
+        new[i] = k
+    return FaceTable(
+        tuple([CellularOperator(keys[i][0], dst, keys[i][1], keys[i][2]) for i in order]),
+        tuple([tuple([new[j] for j in hf[i]]) for i in order]),
+        tuple([None if i == 0 else (new[parents[i][0]], parents[i][1]) for i in order]),
+    )
+
+
 @lru_cache(maxsize=None)
 def faces_into(dst):
-    """All face operators into dst, from every shape of dimension <= dim(dst).
-
-    The closure of the identity under hyperfaces.  It holds only faces,
-    since a face of a face is a face, and it holds every face, since every
-    face other than the identity factors through a hyperface.  Sorted like
-    operators: by source shape first, and shapes by dimension first.
-    """
-    top = identity_cellular(dst)
-    found = {top}
-    todo = [top]
-    while todo:
-        f = todo.pop()
-        for _, h in hyperfaces(f.src):
-            g = compose_cellular(h, f)
-            if g not in found:
-                found.add(g)
-                todo.append(g)
-    return tuple(sorted(found))
+    """All face operators into dst, from every shape of dimension <= dim(dst):
+    the faces of ``face_table(dst)``, sorted by source shape first, and
+    shapes by dimension first."""
+    return face_table(dst).faces
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 
 from .cellset import Cell, TruncatedCellularSet
-from .theta import CellularOperator, ThetaError, interval_index
+from .theta import ThetaError
 
 
 class Finite2Category:
@@ -287,20 +287,6 @@ class Nerve(TruncatedCellularSet):
 
 def nerve(cat, bound):
     return Nerve(cat, bound)
-
-
-def free_nerve_cell_to_operator(target_shape, cell):
-    """The canonical bijection from free-shape nerve cells to operators.
-
-    The object chain is the horizontal part; the hom chains record each
-    component's values through the product-poset coordinates.
-    """
-    objs, paths = cell.payload
-    comps = []
-    for k in range(objs[0] + 1, objs[-1] + 1):
-        i = interval_index(objs, k)
-        comps.append(tuple([f[3][k - objs[i - 1] - 1] for f in paths[i - 1][0]]))
-    return CellularOperator(cell.shape, target_shape, objs, comps)
 
 
 # -- text format ----------------------------------------------------------

@@ -11,6 +11,7 @@ from theta2.theta import (
     elementary_degeneracies,
     faces_into,
     identity_cellular,
+    interval_index,
 )
 
 
@@ -244,3 +245,20 @@ def jointly_monic_faces(src, dst):
             out.append(CellularOperator(src, dst, a, comps))
     out.sort()
     return tuple(out)
+
+
+# -- the free nerve as operators ------------------------------------------------
+
+
+def free_nerve_cell_to_operator(target_shape, cell):
+    """The canonical bijection from free-shape nerve cells to operators.
+
+    The object chain is the horizontal part; the hom chains record each
+    component's values through the product-poset coordinates.
+    """
+    objs, paths = cell.payload
+    comps = []
+    for k in range(objs[0] + 1, objs[-1] + 1):
+        i = interval_index(objs, k)
+        comps.append(tuple([f[3][k - objs[i - 1] - 1] for f in paths[i - 1][0]]))
+    return CellularOperator(cell.shape, target_shape, objs, comps)

@@ -68,7 +68,7 @@ from theta2.theta import (
 )
 from theta2.twocat import free_cell_2cat, nerve
 
-from oracles import box_cell_to_operator, box_representable
+from oracles import box_cell_to_operator, box_representable, free_nerve_cell_to_operator
 
 
 def report(num, name, t0, budget):
@@ -321,7 +321,6 @@ def test_criterion_05_boundary_horn_coherence():
 def test_criterion_06_box_and_nerve():
     t0 = time.time()
     from theta2.theta import elementary_degeneracies
-    from theta2.twocat import free_nerve_cell_to_operator
 
     bound = 6
     into = {sh: [op for _, op in hyperfaces(sh)] for sh in shapes_upto(bound)}

@@ -131,6 +131,44 @@ def test_box_reedy_kernel_matches_trial_search(name):
         assert box.nd_cells(sh) == trial.nd_cells(sh), sh
 
 
+def _broken_payloads(payload):
+    """Payloads that each break one rule of box membership."""
+    x, comps = payload
+    out = {"short x": (x[:-1], comps), "base value": ((-1, *x[1:]), comps)}
+    if comps:
+        y = comps[0]
+        out["missing component"] = (x, comps[:-1])
+        out["long row"] = (x, (y + y[-1:], *comps[1:]))
+        out["fiber value"] = (x, ((-1, *y[1:]), *comps[1:]))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_BOXES))
+def test_box_contains_cell_matches_cell_scan(name):
+    # membership is decided without the cell tuple, and agrees with the
+    # generic scan of it (a set here, which holds the same payloads)
+    box, ref = KERNEL_BOXES[name](), KERNEL_BOXES[name]()
+    broken = set()
+    for sh in ref.shapes():
+        members = set(ref.cells(sh))
+        candidates = list(members)
+        for other in ref.shapes():
+            if other.n == sh.n and other != sh:
+                candidates += ref.nd_cells(other)
+        for payload in ref.nd_cells(sh):
+            for kind, bad in _broken_payloads(payload).items():
+                assert not box.contains_cell(Cell(sh, bad)), (kind, sh, payload)
+                broken.add(kind)
+        for payload in candidates:
+            assert box.contains_cell(Cell(sh, payload)) == (payload in members), (sh, payload)
+    assert box._cells_memo == {}
+    kinds = set(_broken_payloads(((0, 1), ((0,),))))
+    assert broken == (kinds if box.n else {"short x", "base value"})
+    # a shape above the bound holds no cell, degenerate or not
+    top = ref.shapes()[-1]
+    assert not box.contains_cell(Cell(ThetaShape((*top.qs, 0)), ((0,) * (top.n + 2), ())))
+
+
 @pytest.mark.parametrize("qs", [(0, 2), (1, 1), (2,), (0, 0, 0)])
 def test_leibniz_boundary_equals_closure(qs):
     s = shape(*qs)

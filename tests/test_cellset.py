@@ -1,16 +1,19 @@
 import itertools
+from functools import lru_cache
 
 import pytest
 
+from theta2 import cellset, theta
 from theta2.cellset import (
     Cell,
+    FromSimplicial,
     ProductCellSet,
+    Representable,
     Subobject,
     TruncatedCellularSet,
     from_simplicial,
     representable,
     subobject_to_json,
-    terminal_cellset,
 )
 from theta2.boxprod import equiv_horiz, equiv_vert
 from theta2.sset import J, SimplicialSet, boundary_sset, standard_simplex
@@ -22,6 +25,7 @@ from theta2.theta import (
     compose_cellular,
     degeneracies_between,
     face_factors_through,
+    face_table,
     faces_between,
     faces_into,
     hyperfaces,
@@ -39,6 +43,10 @@ from theta2.twocat import (
 )
 
 from oracles import TrialOracle, TrialSearch, box_representable
+
+
+def terminal_cellset(bound):
+    return FromSimplicial(standard_simplex(0), bound)
 
 
 def shape(*qs):
@@ -380,6 +388,80 @@ def test_face_index_matches_generic_path_off_the_shape_bound():
     for gens in ([top], hyperface_cells(s) + [top]):
         with pytest.raises(ThetaError):
             Subobject.generated(representable(s, 2), gens)
+
+
+# representables whose id tables are checked against the act path: every
+# shape of dim <= 5, one bound above its shape's dimension and one below
+ID_TABLE_REPRESENTABLES = [(s, None) for s in shapes_upto(5)] + [
+    (shape(0, 0), 4),
+    (shape(1, 0), 2),
+]
+
+
+def test_face_table_ids_match_act_path():
+    tables = 0
+    for s, bound in ID_TABLE_REPRESENTABLES:
+        rep = Representable(s, bound)
+        # the generic listing and ids, before the index reads the table
+        cells, sizes = TruncatedCellularSet._index_cells(rep)
+        ids = {cell: i for i, cell in enumerate(cells)}
+        hf = face_table(s).hf
+        for i, cell in enumerate(cells):
+            want = [ids[rep._act(cell, h)] for _, h in hyperfaces(cell.shape)]
+            assert list(hf[i]) == want, (s, cell)
+        index = rep.nd_index()
+        assert (index.cells, index.sizes) == (cells, sizes), (s, bound)
+        for cell in cells:
+            act_path = TruncatedCellularSet._compute_pullback_table(rep, cell)
+            assert rep._pullback_table(cell) == act_path, (s, cell)
+            tables += 1
+    assert tables == 1293
+
+
+def test_degenerate_cell_takes_act_path():
+    s = shape(1, 1)
+    rep = Representable(s)
+    # count the ambient's actions through an instance attribute
+    calls, act = [], rep._act
+    rep._act = lambda cell, op: calls.append(op) or act(cell, op)
+    faces = rep.nd_index().cells
+    for cell in faces:
+        rep._pullback_table(cell)
+    assert calls == []
+    degenerate = [
+        Cell(sh, op) for sh in shapes_upto(3) for op in cellular_ops(sh, s) if not op.is_face()
+    ]
+    assert len(degenerate) == 157
+    for cell in degenerate:
+        n = len(calls)
+        table = rep._pullback_table(cell)
+        assert len(calls) - n == len(table)
+        assert table == TruncatedCellularSet._compute_pullback_table(rep, cell)
+
+
+def test_face_tables_compose_no_operator(monkeypatch):
+    # a cold index and every pullback table of Theta[2;1,1] read the closure's
+    # ids: a composition brought back fails here, not only in a traced run
+    calls = []
+
+    def counting(g, f):
+        calls.append((g, f))
+        return compose_cellular(g, f)
+
+    cold = lru_cache(maxsize=None)(face_table.__wrapped__)
+    for module in (theta, cellset):
+        monkeypatch.setattr(module, "compose_cellular", counting)
+        monkeypatch.setattr(module, "face_table", cold)
+    s = shape(1, 1)
+    rep = Representable(s)
+    boundary = Subobject.generated(rep, hyperface_cells(s))
+    for cell in rep.nd_index().cells:
+        boundary.pullback_along(cell)
+    assert calls == []
+    # the tables were built cold, one per shape of a face
+    assert cold.cache_info().currsize == len({c.shape for c in rep.nd_index().cells})
+    rep.act(rep.top_cell(), hyperfaces(s)[0][1])
+    assert len(calls) == 1
 
 
 class Sphere2(SimplicialSet):

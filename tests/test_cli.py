@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -11,17 +12,36 @@ from theta2 import boxprod, twocat
 from theta2.anodyne import lift_check, oury_from_alt, replay, upsilon_vertical
 from theta2.cellset import representable
 from theta2.cli import main
+from theta2.delta import SimplicialOperator
 from theta2.grammar import (
     ParseError,
+    _parse_values,
     parse_cellular,
     parse_hyperface_label,
     parse_shape,
     parse_shuffle,
-    parse_simplicial,
 )
 from theta2.theta import ThetaShape, cellular_ops, hyperfaces, shapes_upto
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def parse_simplicial(text, src=None, dst=None):
+    text = text.strip()
+    if ":" in text:
+        body, arrow = text.split(":", 1)
+        m = re.match(r"^\[(\d+)\]->\[(\d+)\]$", arrow.strip())
+        if not m:
+            raise ParseError(f"bad operator endpoints: {arrow!r}")
+        src, dst = int(m.group(1)), int(m.group(2))
+    else:
+        body = text
+    vals = _parse_values(body)
+    if dst is None:
+        dst = max(vals)
+    if src is not None and len(vals) != src + 1:
+        raise ParseError(f"operator {text!r} has source [{len(vals) - 1}], expected [{src}]")
+    return SimplicialOperator(vals, dst)
 
 
 # -- grammar round trips -------------------------------------------------------

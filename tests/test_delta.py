@@ -6,28 +6,80 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from theta2.delta import (
-    ALPHA_PRIME_SINGLETON,
-    ALPHA_SINGLETON,
-    LOWER_CORNER,
-    UPPER_CORNER,
     CompositionError,
     DeltaError,
     Shuffle,
     SimplicialOperator,
     all_operators,
-    classify_simplicial,
     compose_simplicial,
-    delta_op,
-    ez_factor_delta,
     identity,
-    op_dual_simplicial,
-    point_classification,
     shuffle_corners,
     shuffle_covers,
     shuffle_leq,
     shuffles,
-    sigma_op,
 )
+
+
+def delta_op(i, n):
+    """The elementary face [n-1] -> [n] whose image omits i."""
+    if not 0 <= i <= n or n < 1:
+        raise DeltaError(f"no face operator delta^{i} into [{n}]")
+    return SimplicialOperator([v for v in range(n + 1) if v != i], n)
+
+
+def sigma_op(i, n):
+    """The elementary degeneracy [n+1] -> [n] repeating i."""
+    if not 0 <= i <= n:
+        raise DeltaError(f"no degeneracy operator sigma^{i} out of [{n + 1}]")
+    return SimplicialOperator([min(v, i) if v <= i else v - 1 for v in range(n + 2)], n)
+
+
+def classify_simplicial(f):
+    return {
+        "mono": f.is_mono(),
+        "epi": f.is_epi(),
+        "inert": f.is_inert(),
+        "preserves_endpoints": f.preserves_endpoints(),
+    }
+
+
+def op_dual_simplicial(f):
+    """The dual operator i |-> n - f(m - i); an involution."""
+    m, n = f.src, f.dst
+    return SimplicialOperator((n - f.values[m - i] for i in range(m + 1)), n)
+
+
+def ez_factor_delta(f):
+    """Unique epi-mono factorization f = mono ∘ epi in the ordinal category."""
+    distinct = sorted(set(f.values))
+    rank = {v: r for r, v in enumerate(distinct)}
+    epi = SimplicialOperator((rank[v] for v in f.values), len(distinct) - 1)
+    mono = SimplicialOperator(distinct, f.dst)
+    return epi, mono
+
+
+LOWER_CORNER = "lower_corner"
+UPPER_CORNER = "upper_corner"
+ALPHA_SINGLETON = "alpha_singleton"
+ALPHA_PRIME_SINGLETON = "alphaprime_singleton"
+
+
+def point_classification(s, i):
+    """Classify interior index i of the shuffle path; exactly one tag applies."""
+    if not 1 <= i <= s.m + s.n - 1:
+        raise DeltaError(f"index {i} out of range for ({s.m},{s.n})-shuffle")
+    lower, upper = shuffle_corners(s)
+    if i in lower:
+        return LOWER_CORNER
+    if i in upper:
+        return UPPER_CORNER
+    a = s.alpha.values
+    if a.count(a[i]) == 1:
+        return ALPHA_SINGLETON
+    ap = s.alpha_prime.values
+    if ap.count(ap[i]) == 1:
+        return ALPHA_PRIME_SINGLETON
+    raise AssertionError(f"point {i} of {s} escaped the four-way classification")
 
 
 def op(values, dst):

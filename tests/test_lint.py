@@ -128,6 +128,8 @@ assert replay(vert_equiv(ThetaShape((0, 1)), 1, 3))["ok"]
 assert replay(spine_anodyne(ThetaShape((0, 0))))["ok"]
 assert replay(horiz_equiv(ThetaShape((0,)), 2))["ok"]
 assert lift_check(from_simplicial(J, 3), "inner", 3)["unfilled"] == 0
+# a replay decides box membership without listing cells; ask for a list
+assert vert_equiv(ThetaShape((0, 1)), 1, 3).ambient.cells(ThetaShape((0,)))
 for key, count in sorted(tracer.calls.items()):
     print(key, count)
 # reads every theta cache's statistics: one that stops being an lru_cache fails
